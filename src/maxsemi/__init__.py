@@ -45,7 +45,6 @@ from .semigroup_core import (
     greens_structure,
     group_h_class_as_permgroup,
     ideal_below_generators,
-    idempotents,
     principal_factor_iso,
     semigroup_from_rzms,
     x_prime,
@@ -64,7 +63,6 @@ from .rees_matrix import (
     max_r6,
     max_subsemigroups_rzms,
     normalize,
-    rzms_multiply,
 )
 from .max_subsemigroups import (
     JClassGraphs,

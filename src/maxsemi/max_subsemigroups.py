@@ -31,6 +31,7 @@ from .graphs import (
     sources,
     strongly_connected_condensation,
 )
+from .perm_group import _check_lattice_order
 from .rees_matrix import RzmsMaxSubsemigroup, ZERO, max_r3_r4, max_r5, max_r6
 from .semigroup_core import (
     FiniteSemigroup,
@@ -475,6 +476,13 @@ def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
     return unique
 
 
+def _check_group_order(gs, j) -> None:
+    """Both branches below reach max_r6, whose subgroup lattice of the
+    group H-class of J has a capacity bound; check it before the principal
+    factor is built.  Every H-class of a regular J-class has that order."""
+    _check_lattice_order(len(gs.h_classes[gs.h_class[gs.j_classes[j][0]]]))
+
+
 def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
     if j in maximal_js:
         if len(gs.j_classes[j]) == 1:
@@ -487,6 +495,7 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
                 sg, j, "MAX-TRIVIAL", None, expected, extra, ideal))
         else:
             # a non-trivial maximal J-class of a finite semigroup is regular
+            _check_group_order(gs, j)
             pfi = principal_factor_iso(sg, gs, j)
             for rz in (max_r3_r4(pfi.target)
                        + max_r5(pfi.target)
@@ -506,6 +515,7 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
     if j_gens <= span:
         return  # every generator of J is recoverable from above
     jg = build_jclass_graphs(sg, gs, j, xp, span=span)
+    _check_group_order(gs, j)
     pfi = principal_factor_iso(sg, gs, j)
     found = max_s2(sg, gs, j, xp, pfi, span=span)
     s3 = max_s3(sg, gs, j, xp, jg)

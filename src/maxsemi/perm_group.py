@@ -207,18 +207,24 @@ def is_subgroup(sub: Iterable[Permutation], group: PermGroup) -> bool:
     return all(a * b in elems for a in elems for b in elems)
 
 
+def _check_lattice_order(order: int) -> None:
+    """The capacity check of ``all_subgroups``, for callers that can make
+    it before building the group."""
+    if order > SUBGROUP_ORDER_BOUND:
+        raise CapacityError(
+            f"subgroup lattice supported only up to order {SUBGROUP_ORDER_BOUND}, "
+            f"got {order}",
+            bound=SUBGROUP_ORDER_BOUND,
+        )
+
+
 def all_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every subgroup of ``group``, each exactly once.
 
     Seeds with the cyclic subgroups and repeatedly joins pairs until no
     new subgroup appears.  Sorted by (order, element list).
     """
-    if group.order > SUBGROUP_ORDER_BOUND:
-        raise CapacityError(
-            f"subgroup lattice supported only up to order {SUBGROUP_ORDER_BOUND}, "
-            f"got {group.order}",
-            bound=SUBGROUP_ORDER_BOUND,
-        )
+    _check_lattice_order(group.order)
     degree = group.degree
     cyclic = {_close_elements([g], degree) for g in group.elements}
     subs = set(cyclic)

@@ -20,6 +20,7 @@ from .errors import InputError
 from .graphs import Graph, connected_components, graph, maximal_independent_sets
 from .perm_group import (
     PermGroup,
+    _check_lattice_order,
     Permutation,
     conjugate_subgroup,
     generate_group,
@@ -79,6 +80,8 @@ class ReesZeroMatrixSemigroup:
                     yield (i, g, lam)
 
     def multiply(self, a, b):
+        """(i, g, lam)(k, h, mu) is (i, g p_{lam,k} h, mu) when p_{lam,k} is
+        non-zero and 0 otherwise."""
         if a == ZERO or b == ZERO:
             return ZERO
         i, g, lam = a
@@ -91,12 +94,6 @@ class ReesZeroMatrixSemigroup:
     def __repr__(self):
         return (f"ReesZeroMatrixSemigroup(|I|={self.num_cols}, "
                 f"|Lambda|={self.num_rows}, |G|={self.group.order})")
-
-
-def rzms_multiply(rzms: ReesZeroMatrixSemigroup, a, b):
-    """Product in the Rees 0-matrix semigroup: (i,g,j)(k,h,l) is
-    (i, g p_{j,k} h, l) when p_{j,k} is non-zero and 0 otherwise."""
-    return rzms.multiply(a, b)
 
 
 def brandt(group: PermGroup, m: int) -> ReesZeroMatrixSemigroup:
@@ -453,6 +450,7 @@ def max_r6(
     element set contains it are produced; the containment test uses the
     block description I_k x t_k^-1 V t_l x Lambda_l directly.
     """
+    _check_lattice_order(rzms.group.order)  # before normalize builds anything
     data = normalize(rzms)
     normd = data.normalized
     group = rzms.group

@@ -2,10 +2,16 @@
 
 Elements live in a ``FiniteSemigroup`` as an indexed list of hashable
 payloads (transformations, Rees-matrix triples, or bare table indices)
-discovered by breadth-first closure of the generators.  Green's relations
-are computed as strongly connected components of the one-sided Cayley
-graphs, which is valid in any finite semigroup by stability; the J order
-is the condensation of the two-sided Cayley graph.
+discovered by breadth-first closure of the generators.  The payload
+multiply must be associative.  It runs only in ``closure``, which records
+the right Cayley graph (every product a * g with a generator), and in
+``FiniteSemigroup.product`` on semigroups above ``TABLE_BOUND``; the
+multiplication table follows from that graph by integer lookups alone
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
+
+Green's relations are computed as strongly connected components of the
+one-sided Cayley graphs, which is valid in any finite semigroup by
+stability; the J order is the condensation of the two-sided Cayley graph.
 
 ``principal_factor_iso`` realises the Rees theorem concretely: a regular
 J-class is coordinatised as I x G x Lambda by fixing an idempotent e,
@@ -15,7 +21,6 @@ L_lam n R_e, and reading the structure matrix off their products.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -27,7 +32,7 @@ from .rees_matrix import ReesZeroMatrixSemigroup, generating_set
 
 CLOSURE_BOUND = 100_000
 TABLE_BOUND = 2048
-_ASSOC_EXHAUSTIVE_BOUND = 200
+_TABLE_BLOCK = 64  # table rows derived per pass of FiniteSemigroup.table
 
 
 @dataclass(frozen=True, order=True)
@@ -69,9 +74,12 @@ class FiniteSemigroup:
     """Indexed finite semigroup.
 
     ``elements`` is the payload list in discovery order and ``product``
-    works on indices.  The full multiplication table is materialised
-    lazily and only below ``TABLE_BOUND`` elements; larger semigroups
-    multiply payloads directly.
+    works on indices.  ``mul`` must be associative.  Semigroups come from
+    ``closure``, which records the right Cayley graph, or from
+    ``from_table``, which has its table.  The full multiplication table is
+    materialised lazily, only below ``TABLE_BOUND`` elements, and derived
+    from the right Cayley graph without multiplying payloads; larger
+    semigroups multiply payloads in ``product``.
     """
 
     def __init__(self, elements: Sequence, mul: Callable, generator_indices: Sequence[int]):
@@ -82,6 +90,13 @@ class FiniteSemigroup:
         if len(self._index) != len(self.elements):
             raise InputError("duplicate elements in semigroup")
         self._table: Optional[list] = None
+        # the right Cayley graph, set by closure: _right[k][a] is the index
+        # of a * g_k, where g_k is element k (the m distinct generators come
+        # first), and every element b >= m is _pre[b] * g_(_last[b]) with
+        # _pre[b] < b (both are -1 on the generators)
+        self._right: Optional[list] = None
+        self._pre: Optional[list] = None
+        self._last: Optional[list] = None
 
     @property
     def size(self) -> int:
@@ -99,19 +114,35 @@ class FiniteSemigroup:
         return self._index[self._mul(self.elements[i], self.elements[j])]
 
     def table(self) -> list:
-        """Full index-level multiplication table (only below TABLE_BOUND)."""
+        """Full index-level multiplication table (only below TABLE_BOUND).
+
+        With b = pre[b] * g_last[b], associativity gives a * b =
+        (a * pre[b]) * g_last[b], so column b of the table is column
+        pre[b] mapped through the right Cayley graph of g_last[b]; the
+        column of generator k is that graph itself.  The columns are
+        filled for ``_TABLE_BLOCK`` rows at a time and transposed into
+        rows, so the table is never held twice.
+        """
         if self._table is None:
             if self.size > TABLE_BOUND:
                 raise CapacityError(
                     f"full table supported up to {TABLE_BOUND} elements, got {self.size}",
                     bound=TABLE_BOUND,
                 )
-            idx = self._index
-            mul = self._mul
-            elems = self.elements
-            self._table = [
-                [idx[mul(a, b)] for b in elems] for a in elems
-            ]
+            if self._right is None:
+                raise InputError("the table needs a semigroup built by closure or from_table")
+            right = self._right
+            m = len(right)
+            steps = [(p, right[k].__getitem__)
+                     for p, k in zip(self._pre[m:], self._last[m:])]
+            table = []
+            for start in range(0, self.size, _TABLE_BLOCK):
+                cols = [col[start:start + _TABLE_BLOCK] for col in right]
+                add = cols.append
+                for p, right_of_last in steps:
+                    add(list(map(right_of_last, cols[p])))
+                table.extend(map(list, zip(*cols)))
+            self._table = table
         return self._table
 
     def is_idempotent(self, i: int) -> bool:
@@ -122,8 +153,13 @@ class FiniteSemigroup:
 
 
 def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> FiniteSemigroup:
-    """Semigroup generated by ``gens``; elements listed in BFS discovery
-    order, so the result is deterministic for a fixed input order."""
+    """Semigroup generated by ``gens`` under the associative ``mul``.
+
+    Elements are listed in breadth-first discovery order, so the result
+    is deterministic for a fixed input order.  The walk multiplies every
+    element by every distinct generator and keeps those products as the
+    right Cayley graph, from which ``FiniteSemigroup.table`` is derived.
+    """
     if not gens:
         raise InputError("closure requires at least one generator")
     elements = []
@@ -133,21 +169,28 @@ def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> Fin
             index[g] = len(elements)
             elements.append(g)
     gen_payloads = list(elements)
-    queue = list(elements)
-    while queue:
-        frontier = []
-        for a in queue:
-            for g in gen_payloads:
-                b = mul(a, g)
-                if b not in index:
-                    if len(elements) >= max_size:
-                        raise CapacityError(
-                            f"closure exceeded {max_size} elements", bound=max_size)
-                    index[b] = len(elements)
-                    elements.append(b)
-                    frontier.append(b)
-        queue = frontier
-    return FiniteSemigroup(elements, mul, [index[g] for g in gens])
+    right: list[list[int]] = [[] for _ in gen_payloads]
+    pre = [-1] * len(gen_payloads)
+    last = [-1] * len(gen_payloads)
+    a = 0
+    while a < len(elements):  # discovery order is breadth-first order
+        x = elements[a]
+        for k, g in enumerate(gen_payloads):
+            b = mul(x, g)
+            kb = index.get(b)
+            if kb is None:
+                if len(elements) >= max_size:
+                    raise CapacityError(
+                        f"closure exceeded {max_size} elements", bound=max_size)
+                kb = index[b] = len(elements)
+                elements.append(b)
+                pre.append(a)
+                last.append(k)
+            right[k].append(kb)
+        a += 1
+    sg = FiniteSemigroup(elements, mul, [index[g] for g in gens])
+    sg._right, sg._pre, sg._last = right, pre, last
+    return sg
 
 
 def from_table(
@@ -156,9 +199,12 @@ def from_table(
 ) -> FiniteSemigroup:
     """Semigroup from an n x n Cayley table of 0-based indices.
 
-    Associativity is checked exhaustively up to 200 elements and by
-    10 000 seeded random triples beyond; violations are input errors.
     When generators are given, they must actually generate everything.
+    Associativity is checked exactly by Light's test (Clifford & Preston,
+    vol. 1): (x a) y = x (a y) for all x, y and every a in a set A whose
+    right-multiplication closure covers the table, which costs
+    O(n^2 |A|).  A is the given generators, or else a greedy cover.
+    Violations are input errors.
     """
     n = len(table)
     if n == 0:
@@ -167,37 +213,59 @@ def from_table(
     for r in rows:
         if len(r) != n or any(not 0 <= x < n for x in r):
             raise InputError("table must be square with entries in 0..n-1")
-    if n <= _ASSOC_EXHAUSTIVE_BOUND:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        rng = random.Random(0)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(10_000))
-    for a, b, c in triples:
-        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-            raise InputError(f"table is not associative at ({a}, {b}, {c})")
 
     if generator_indices is None:
         generator_indices = list(range(n))
+        light_set, _ = _right_cover(rows, range(n))
     else:
         generator_indices = list(generator_indices)
-        words = set(generator_indices)
-        queue = list(words)
-        while queue:
-            a = queue.pop()
-            for g in generator_indices:
-                b = rows[a][g]
-                if b not in words:
-                    words.add(b)
-                    queue.append(b)
-        if len(words) != n:
+        if any(not 0 <= g < n for g in generator_indices):
+            raise InputError("generator indices must lie in 0..n-1")
+        light_set, reached = _right_cover(rows, generator_indices)
+        if reached != n:
             raise InputError("given generators do not generate the whole table")
+
+    # the elements a with (x a) y = x (a y) for all x, y form a
+    # subsemigroup, so checking a generating set checks every a
+    for a in light_set:
+        row_a = rows[a]
+        for x in range(n):
+            xa_row = rows[rows[x][a]]
+            x_row = rows[x]
+            if xa_row != [x_row[b] for b in row_a]:
+                y = next(y for y in range(n) if xa_row[y] != x_row[row_a[y]])
+                raise InputError(f"table is not associative at ({x}, {a}, {y})")
 
     sg = FiniteSemigroup(list(range(n)), lambda a, b: rows[a][b], generator_indices)
     sg._table = rows
     return sg
+
+
+def _right_cover(rows, candidates) -> tuple[list[int], int]:
+    """Greedy generators from ``candidates``: each one not yet reached by
+    right multiplication joins them and then acts on everything reached
+    so far.  Returns the generators and how many elements they reach."""
+    gens: list[int] = []
+    reached: list[int] = []
+    seen = [False] * len(rows)
+    for s in candidates:
+        if seen[s]:
+            continue
+        gens.append(s)
+        queue = []
+        for b in [s] + [rows[a][s] for a in reached]:
+            if not seen[b]:
+                seen[b] = True
+                queue.append(b)
+        while queue:
+            a = queue.pop()
+            reached.append(a)
+            for g in gens:
+                b = rows[a][g]
+                if not seen[b]:
+                    seen[b] = True
+                    queue.append(b)
+    return gens, len(reached)
 
 
 def semigroup_from_rzms(rzms: ReesZeroMatrixSemigroup) -> FiniteSemigroup:
@@ -327,10 +395,6 @@ def greens_structure(sg: FiniteSemigroup) -> GreensStructure:
         j_classes=j_classes, j_order=j_order, j_reach=tuple(j_reach),
         regular_j=regular, idempotents=idem,
     )
-
-
-def idempotents(sg: FiniteSemigroup) -> frozenset:
-    return frozenset(i for i in range(sg.size) if sg.product(i, i) == i)
 
 
 def x_prime(sg: FiniteSemigroup, gs: GreensStructure, j: int) -> tuple[int, ...]:
@@ -463,12 +527,6 @@ class PrincipalFactorIso:
     backward: dict
     row_r_classes: tuple[int, ...]  # RZMS column index i -> R-class id
     col_l_classes: tuple[int, ...]  # RZMS row index lam -> L-class id
-
-    def forward_element(self, e: int):
-        return self.forward[e]
-
-    def backward_element(self, triple) -> int:
-        return self.backward[triple]
 
 
 def principal_factor_iso(

@@ -14,7 +14,6 @@ from maxsemi.semigroup_core import (
     greens_structure,
     group_h_class_as_permgroup,
     ideal_below_generators,
-    idempotents,
     principal_factor_iso,
     semigroup_from_rzms,
     x_prime,
@@ -68,7 +67,87 @@ class TestClosure:
             closure([], operator.mul)
 
 
+def payload_table(sg, mul):
+    """The multiplication table by multiplying every pair of payloads."""
+    return [[sg.index(mul(a, b)) for b in sg.elements] for a in sg.elements]
+
+
+class TestTable:
+    """``table()`` is derived from the right Cayley graph that ``closure``
+    records; it must equal the table of payload products."""
+
+    def test_oracle_corpus(self, oracle_corpus):
+        for name, sg in oracle_corpus:
+            assert sg.table() == payload_table(sg, sg._mul), name
+
+    @pytest.mark.parametrize("degree,seed", [(3, 101), (4, 202), (5, 303)])
+    def test_random_transformation_semigroups(self, degree, seed):
+        for sg in support.random_transformation_semigroups(
+                degree, 20, seed=seed, max_size=200):
+            assert sg.table() == payload_table(sg, operator.mul)
+
+    def test_s4_rzms(self, s4_rzms):
+        sg = semigroup_from_rzms(s4_rzms)
+        assert sg._table is None
+        assert sg.table() == payload_table(sg, s4_rzms.multiply)
+
+    def test_w(self):
+        sg = support.w_semigroup()
+        assert sg._table is None
+        assert sg.table() == payload_table(sg, operator.mul)
+
+    def test_adjoined_identity(self):
+        # an identity adjoined on top of the Rees matrix semigroup
+        for rzms in (support.brandt(support.symmetric_group(3), 3),
+                     support.brandt(support.cyclic_group(4), 2)):
+            sg = support.adjoin_identity_to_rzms(rzms)
+            assert sg._table is None
+            assert sg.table() == payload_table(sg, sg._mul)
+
+    def test_repeated_and_redundant_generators(self):
+        a = Transformation((1, 2, 3, 0, 0))
+        b = Transformation((0, 0, 2, 3, 4))
+        sg = closure([a, b, a, a * b, b * a * a], operator.mul)
+        assert sg.generator_indices[0] == sg.generator_indices[2]
+        assert sg._table is None
+        assert sg.table() == payload_table(sg, operator.mul)
+        assert sg.size == closure([a, b], operator.mul).size
+
+    def test_lazy(self):
+        sg = closure([Transformation((1, 2, 0)), Transformation((0, 0, 2))], operator.mul)
+        assert sg._table is None
+        assert sg.product(1, 1) == sg.index(sg.elements[1] * sg.elements[1])
+        assert sg._table is None
+        sg.table()
+        assert sg._table is not None
+
+
 class TestFromTable:
+    def test_one_bad_cell_in_300_elements_rejected(self):
+        # Z_300 with a single corrupted product: only an exact check sees it
+        n = 300
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        table[42][42] += 1
+        with pytest.raises(errors.InputError, match="associative"):
+            from_table(table, generator_indices=[1])
+
+    def test_one_bad_cell_rejected_without_generators(self):
+        n = 60
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        table[7][11] = 0
+        with pytest.raises(errors.InputError, match="associative"):
+            from_table(table)
+
+    def test_associative_tables_accepted(self, oracle_corpus):
+        for name, sg in oracle_corpus:
+            table = sg.table()
+            assert from_table(table).table() == table, name
+            assert from_table(table, sg.generator_indices).size == sg.size, name
+
+    def test_generator_out_of_range(self):
+        with pytest.raises(errors.InputError, match="0..n-1"):
+            from_table([[0, 1], [1, 0]], generator_indices=[2])
+
     def test_non_associative_rejected(self):
         # x*y = x is associative; tweak one entry to break it
         table = [[0, 0], [1, 0]]
@@ -177,15 +256,15 @@ class TestGreensStructure:
 class TestIdempotents:
     def test_group_identity_only(self):
         sg = support.monogenic(1, 5)
-        assert len(idempotents(sg)) == 1
+        assert len(greens_structure(sg).idempotents) == 1
 
     def test_left_zero_all(self):
         sg = support.left_zero(6)
-        assert idempotents(sg) == frozenset(range(6))
+        assert greens_structure(sg).idempotents == frozenset(range(6))
 
     def test_s4_rzms_twelve(self, s4_rzms):
         sg = semigroup_from_rzms(s4_rzms)
-        assert len(idempotents(sg)) == 12
+        assert len(greens_structure(sg).idempotents) == 12
 
 
 class TestGroupHClass:
