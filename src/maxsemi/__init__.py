@@ -29,7 +29,6 @@ from .graphs import (
     digraph,
     graph,
     maximal_independent_sets,
-    maximal_independent_sets_closed,
     reachable_set,
     sources,
     strongly_connected_condensation,

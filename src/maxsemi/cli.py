@@ -36,6 +36,7 @@ from .perm_group import Permutation, cycle_string, generate_group, parse_cycles
 from .rees_matrix import (
     ReesZeroMatrixSemigroup,
     ZERO,
+    _elem_key,
     gh_vertex_label,
     graham_houghton,
     max_subsemigroups_rzms,
@@ -77,16 +78,22 @@ def _load_spec(path):
     return spec
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def _build_transformations(spec, max_size):
     gens_rows = spec.get("generators")
-    if not gens_rows:
+    if not gens_rows or not isinstance(gens_rows, list):
         raise InputError("transformations input needs a non-empty 'generators' list")
+    if not all(_is_int_list(row) for row in gens_rows):
+        raise InputError("each transformation generator must be a list of integers")
     degree = len(gens_rows[0])
     gens = []
     for row in gens_rows:
         if len(row) != degree:
             raise InputError("all transformation image rows must have equal length")
-        if any(not isinstance(x, int) or not 1 <= x <= degree for x in row):
+        if any(not 1 <= x <= degree for x in row):
             raise InputError(f"image row {row} must use 1-based points up to {degree}")
         gens.append(Transformation.one_based(row))
     return closure(gens, lambda a, b: a * b, max_size=max_size)
@@ -94,9 +101,14 @@ def _build_transformations(spec, max_size):
 
 def _build_cayley_table(spec):
     table = spec.get("table")
-    if not table:
+    if not table or not isinstance(table, list):
         raise InputError("cayley_table input needs a non-empty 'table'")
-    return from_table(table, spec.get("generators"))
+    if not all(_is_int_list(row) for row in table):
+        raise InputError("each table row must be a list of integers")
+    gens = spec.get("generators")
+    if gens is not None and not _is_int_list(gens):
+        raise InputError("cayley_table 'generators' must be a list of integers")
+    return from_table(table, gens)
 
 
 def _build_rzms(spec) -> ReesZeroMatrixSemigroup:
@@ -104,14 +116,21 @@ def _build_rzms(spec) -> ReesZeroMatrixSemigroup:
     if not isinstance(degree, int) or degree < 1:
         raise InputError("rzms input needs a positive integer 'group_degree'")
     gen_texts = spec.get("group_generators", [])
+    if not isinstance(gen_texts, list) or not all(isinstance(t, str) for t in gen_texts):
+        raise InputError("rzms 'group_generators' must be a list of cycle strings")
     group = generate_group(degree, [parse_cycles(t, degree) for t in gen_texts])
     matrix_rows = spec.get("matrix")
-    if not matrix_rows:
+    if not matrix_rows or not isinstance(matrix_rows, list):
         raise InputError("rzms input needs a non-empty 'matrix'")
     rows = []
     for row in matrix_rows:
+        if not isinstance(row, list):
+            raise InputError("each rzms matrix row must be a list")
         parsed = []
         for entry in row:
+            if not (isinstance(entry, str) or type(entry) is int and entry == 0):
+                raise InputError(
+                    f"matrix entry {entry!r} must be a cycle string or 0")
             if entry == "0" or entry == 0:
                 parsed.append(None)
             else:
@@ -239,57 +258,42 @@ def cmd_maximal(args, stream) -> int:
     kind = spec["kind"]
     wanted = set(args.types.split(",")) if args.types else None
 
-    results_out = []
-    counts: dict[str, int] = {}
+    # each result as (result, J-class, generator payloads, element indices);
+    # the Rees results' indices are read lazily, only under --verify
     if rzms is not None:
         results = max_subsemigroups_rzms(rzms)
-        results.sort(key=lambda r: (r.type_tag, sorted(map(_rzms_elem_key, r.element_set))))
-        sg_for_verify = None
-        if args.verify:
-            sg_for_verify = semigroup_from_rzms(rzms)
-        for r in results:
-            if wanted is not None and r.type_tag not in wanted:
-                continue
-            entry = {
-                "type": r.type_tag,
-                "j_class": 0,
-                "size": r.size,
-                "generators": [_element_out(kind, x) for x in r.generators],
-                "witness": _witness_out(r.type_tag, r.witness),
-            }
-            if args.verify:
-                ok, msg = oracle_mod.verify_maximal(
-                    sg_for_verify,
-                    [sg_for_verify.index(x) for x in r.element_set])
-                entry["verified"] = ok
-                if not ok:
-                    entry["verify_diagnostic"] = msg
-            counts[r.type_tag] = counts.get(r.type_tag, 0) + 1
-            results_out.append(entry)
+        results.sort(key=lambda r: (r.type_tag, sorted(map(_elem_key, r.element_set))))
+        sg = semigroup_from_rzms(rzms) if args.verify else None
+        rows = [(r, 0, r.generators, (sg.index(x) for x in r.element_set))
+                for r in results]
         size = rzms.size
         summaries = _rzms_jclass_summaries(rzms)
     else:
         gs = greens_structure(sg)
-        results = max_subsemigroups(sg)
-        for r in results:
-            if wanted is not None and r.type_tag not in wanted:
-                continue
-            entry = {
-                "type": r.type_tag,
-                "j_class": r.j_class,
-                "size": r.size,
-                "generators": [_element_out(kind, sg.elements[e]) for e in r.generators],
-                "witness": _witness_out(r.type_tag, r.witness),
-            }
-            if args.verify:
-                ok, msg = oracle_mod.verify_maximal(sg, r.element_indices)
-                entry["verified"] = ok
-                if not ok:
-                    entry["verify_diagnostic"] = msg
-            counts[r.type_tag] = counts.get(r.type_tag, 0) + 1
-            results_out.append(entry)
+        rows = [(r, r.j_class, [sg.elements[e] for e in r.generators], r.element_indices)
+                for r in max_subsemigroups(sg)]
         size = sg.size
         summaries = _jclass_summaries(sg, gs)
+
+    results_out = []
+    counts: dict[str, int] = {}
+    for r, j_class, gens, indices in rows:
+        if wanted is not None and r.type_tag not in wanted:
+            continue
+        entry = {
+            "type": r.type_tag,
+            "j_class": j_class,
+            "size": r.size,
+            "generators": [_element_out(kind, x) for x in gens],
+            "witness": _witness_out(r.type_tag, r.witness),
+        }
+        if args.verify:
+            ok, msg = oracle_mod.verify_maximal(sg, indices)
+            entry["verified"] = ok
+            if not ok:
+                entry["verify_diagnostic"] = msg
+        counts[r.type_tag] = counts.get(r.type_tag, 0) + 1
+        results_out.append(entry)
 
     doc = {
         "schema": SCHEMA_VERSION,
@@ -302,13 +306,6 @@ def cmd_maximal(args, stream) -> int:
     }
     _emit(doc, args, stream)
     return 0
-
-
-def _rzms_elem_key(x):
-    if x == ZERO:
-        return (0,)
-    i, g, lam = x
-    return (1, i, g.images, lam)
 
 
 def cmd_analyze(args, stream) -> int:

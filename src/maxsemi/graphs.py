@@ -1,8 +1,10 @@
 """Pure graph layer: components, SCC condensation, maximal independent sets.
 
-Vertices are dense integers 0..n-1.  Independent-set enumeration runs
-Bron-Kerbosch (with pivoting and a degeneracy-ordered outer loop) on the
-complement, over bitmask adjacency, so it is capped at 64 vertices.
+Vertices are dense integers 0..n-1.  There is one independent-set
+enumerator: Bron-Kerbosch (Algorithm 457, with pivoting and a
+degeneracy-ordered outer loop) on the complement, over bitmask adjacency,
+so it is capped at 64 vertices.  An optional digraph prunes it to the
+sets closed under reachability; without one every branch is kept.
 """
 
 from __future__ import annotations
@@ -183,10 +185,12 @@ def strongly_connected_condensation(d: Digraph) -> CondensedDigraph:
     )
 
 
-def sources(cd: CondensedDigraph) -> list[int]:
-    """Component indices with no incoming edge."""
-    has_in = {b for _, b in cd.edges}
-    return [k for k in range(cd.component_count) if k not in has_in]
+def sources(cd: CondensedDigraph, kept: Optional[Iterable[int]] = None) -> list[int]:
+    """Component indices with no incoming edge, ascending.  Given ``kept``,
+    the sources of the subgraph induced on those components."""
+    kept = range(cd.component_count) if kept is None else set(kept)
+    has_in = {b for a, b in cd.edges if a in kept and b in kept}
+    return [k for k in sorted(kept) if k not in has_in]
 
 
 def reachable_set(cd: CondensedDigraph, start: int) -> frozenset:
@@ -209,14 +213,6 @@ def reachable_set(cd: CondensedDigraph, start: int) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # Maximal independent sets
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
 
 def _bits(mask: int):
     while mask:
@@ -241,23 +237,7 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
     return order
 
 
-def _bk_pivot(adj: list[int], r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    pivot, best = -1, -1
-    for u in _bits(p | x):
-        c = bin(p & adj[u]).count("1")
-        if c > best:
-            pivot, best = u, c
-    for v in _bits(p & ~adj[pivot]):
-        bit = 1 << v
-        _bk_pivot(adj, r | bit, p & adj[v], x & adj[v], out)
-        p &= ~bit
-        x |= bit
-
-
-def _bk_pivot_closed(
+def _bron_kerbosch(
     adj: list[int], desc: list[int], r: int, need: int, p: int, x: int, out: list[int]
 ) -> None:
     # Any clique grown from here lies between r and r|p; if the vertices
@@ -275,78 +255,54 @@ def _bk_pivot_closed(
             pivot, best = u, c
     for v in _bits(p & ~adj[pivot]):
         bit = 1 << v
-        _bk_pivot_closed(adj, desc, r | bit, need | desc[v], p & adj[v], x & adj[v], out)
+        _bron_kerbosch(adj, desc, r | bit, need | desc[v], p & adj[v], x & adj[v], out)
         p &= ~bit
         x |= bit
 
 
-def _complement_masks(g: Graph) -> list[int]:
+def maximal_independent_sets(g: Graph, closure: Optional[Digraph] = None) -> list[frozenset]:
+    """All maximal independent sets of ``g`` (maximal cliques of the
+    complement), each exactly once, sorted.
+
+    With a ``closure`` digraph on the same vertices, only the sets that
+    are downward closed under its reachability are kept: if u is in the
+    set and u reaches v, then v is in the set.  Maximality is still in
+    ``g``, among all independent sets.  No digraph means an edgeless one,
+    under which every set is closed.
+    """
     n = g.vertex_count
-    full = (1 << n) - 1
-    adj = _adjacency_masks(g)
-    return [(full & ~adj[v]) & ~(1 << v) for v in range(n)]
-
-
-def _check_bound(g: Graph) -> None:
-    if g.vertex_count > INDEPENDENT_SET_VERTEX_BOUND:
+    if n > INDEPENDENT_SET_VERTEX_BOUND:
         raise CapacityError(
             f"independent-set enumeration supported up to "
-            f"{INDEPENDENT_SET_VERTEX_BOUND} vertices, got {g.vertex_count}",
+            f"{INDEPENDENT_SET_VERTEX_BOUND} vertices, got {n}",
             bound=INDEPENDENT_SET_VERTEX_BOUND,
         )
-
-
-def maximal_independent_sets(g: Graph) -> list[frozenset]:
-    """All maximal independent sets of ``g`` (maximal cliques of the
-    complement), each exactly once, sorted."""
-    _check_bound(g)
-    n = g.vertex_count
-    if n == 0:
-        return [frozenset()]
-    comp = _complement_masks(g)
-    out: list[int] = []
-    p = (1 << n) - 1
-    x = 0
-    for v in _degeneracy_order(comp, n):
-        bit = 1 << v
-        _bk_pivot(comp, bit, p & comp[v], x & comp[v], out)
-        p &= ~bit
-        x |= bit
-    sets = [frozenset(_bits(m)) for m in out]
-    return sorted(sets, key=sorted)
-
-
-def maximal_independent_sets_closed(g: Graph, closure: Digraph) -> list[frozenset]:
-    """Maximal independent sets of ``g`` that are downward closed under
-    reachability in ``closure``: if u is in the set and u reaches v, then
-    v is in the set.  Maximality is in ``g``, among all independent sets.
-    """
-    _check_bound(g)
-    if closure.vertex_count != g.vertex_count:
+    if closure is not None and closure.vertex_count != n:
         raise InputError("closure digraph must share the graph's vertex set")
-    n = g.vertex_count
     if n == 0:
         return [frozenset()]
-    succ = out_neighbours(closure)
-    desc = [0] * n
-    for v in range(n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in succ[a]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        for w in seen:
-            desc[v] |= 1 << w
-    comp = _complement_masks(g)
+    # desc[v]: v and every vertex it reaches, which a closed set holding v needs
+    desc = [1 << v for v in range(n)]
+    if closure is not None:
+        succ = out_neighbours(closure)
+        for v in range(n):
+            stack = [v]
+            while stack:
+                for b in succ[stack.pop()]:
+                    if not desc[v] >> b & 1:
+                        desc[v] |= 1 << b
+                        stack.append(b)
+    full = (1 << n) - 1
+    comp = [full & ~(1 << v) for v in range(n)]
+    for u, v in g.edges:
+        comp[u] &= ~(1 << v)
+        comp[v] &= ~(1 << u)
     out: list[int] = []
-    p = (1 << n) - 1
+    p = full
     x = 0
     for v in _degeneracy_order(comp, n):
         bit = 1 << v
-        _bk_pivot_closed(comp, desc, bit, desc[v], p & comp[v], x & comp[v], out)
+        _bron_kerbosch(comp, desc, bit, desc[v], p & comp[v], x & comp[v], out)
         p &= ~bit
         x |= bit
     sets = [frozenset(_bits(m)) for m in out]

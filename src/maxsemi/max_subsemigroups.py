@@ -27,7 +27,7 @@ from .graphs import (
     Graph,
     digraph,
     graph,
-    maximal_independent_sets_closed,
+    maximal_independent_sets,
     sources,
     strongly_connected_condensation,
 )
@@ -97,63 +97,45 @@ def build_jclass_graphs(
     if not gs.regular_j[j]:
         raise InputError(f"J-class {j} is not regular")
     members = gs.j_classes[j]
-    l_ids = sorted({gs.l_class[e] for e in members})
-    r_ids = sorted({gs.r_class[e] for e in members})
-    l_pos = {lid: k for k, lid in enumerate(l_ids)}
-    r_pos = {rid: k for k, rid in enumerate(r_ids)}
     member_set = set(members)
 
-    l_rep = {}
-    r_rep = {}
-    for e in members:
-        l_rep.setdefault(gs.l_class[e], e)
-        r_rep.setdefault(gs.r_class[e], e)
+    def gamma(class_of, act):
+        # Gamma_L acts by right multiplication on L-classes, Gamma_R by
+        # left multiplication on R-classes
+        ids = sorted({class_of[e] for e in members})
+        pos = {c: k for k, c in enumerate(ids)}
+        rep = {}
+        for e in members:
+            rep.setdefault(class_of[e], e)
+        edges = set()
+        for x in xp:
+            for c, a in rep.items():
+                b = act(a, x)
+                if b in member_set and class_of[b] != c:
+                    edges.add((pos[c], pos[class_of[b]]))
+        cd = strongly_connected_condensation(digraph(len(ids), edges))
+        return cd, ids, {c: cd.component_of[k] for c, k in pos.items()}
 
-    l_edges = set()
-    r_edges = set()
-    for x in xp:
-        for lid, a in l_rep.items():
-            ax = sg.product(a, x)
-            if ax in member_set:
-                target = gs.l_class[ax]
-                if target != lid:
-                    l_edges.add((l_pos[lid], l_pos[target]))
-        for rid, a in r_rep.items():
-            xa = sg.product(x, a)
-            if xa in member_set:
-                target = gs.r_class[xa]
-                if target != rid:
-                    r_edges.add((r_pos[rid], r_pos[target]))
-    gamma_l = strongly_connected_condensation(digraph(len(l_ids), l_edges))
-    gamma_r = strongly_connected_condensation(digraph(len(r_ids), r_edges))
-
+    gamma_l, l_ids, l_comp = gamma(gs.l_class, sg.product)
+    gamma_r, r_ids, r_comp = gamma(gs.r_class, lambda a, x: sg.product(x, a))
     nl = gamma_l.component_count
-    offset = nl
-    delta_edges = set()
-    for e in members:
-        if e in gs.idempotents:
-            u = gamma_l.component_of[l_pos[gs.l_class[e]]]
-            v = gamma_r.component_of[r_pos[gs.r_class[e]]]
-            delta_edges.add((u, offset + v))
+
+    def bipartite(elements):
+        return graph(nl + gamma_r.component_count,
+                     {(l_comp[gs.l_class[e]], nl + r_comp[gs.r_class[e]]) for e in elements})
+
+    delta = bipartite(e for e in members if e in gs.idempotents)
     if span is None:
         span = span_at_or_above(sg, gs, j, xp)
     span_in_j = frozenset(e for e in span if gs.j_class[e] == j)
-    theta_edges = set()
-    for e in span_in_j:
-        u = gamma_l.component_of[l_pos[gs.l_class[e]]]
-        v = gamma_r.component_of[r_pos[gs.r_class[e]]]
-        theta_edges.add((u, offset + v))
-    total = nl + gamma_r.component_count
-    delta = graph(total, delta_edges)
-    theta = graph(total, theta_edges)
+    theta = bipartite(span_in_j)
 
     # colour 1 exactly on the components touched by Theta
     l_colour = [0] * nl
     r_colour = [0] * gamma_r.component_count
     for u, v in theta.edges:
-        a, b = (u, v) if u < nl else (v, u)
-        l_colour[a] = 1
-        r_colour[b - offset] = 1
+        l_colour[u] = 1
+        r_colour[v - nl] = 1
     gamma_l = gamma_l.with_colour(l_colour)
     gamma_r = gamma_r.with_colour(r_colour)
 
@@ -194,6 +176,12 @@ def _complement_elements(sg, gs, j):
     return frozenset(e for e in range(sg.size) if e not in members)
 
 
+def _without_class(sg, gs, j, tag):
+    """S \\ J, generated by the generators outside J and the ideal below."""
+    return _finish(sg, j, tag, None, _complement_elements(sg, gs, j),
+                   _gens_outside_j(sg, gs, j), ideal_below_generators(sg, gs, j))
+
+
 # ---------------------------------------------------------------------------
 # S1: non-regular classes
 
@@ -204,10 +192,7 @@ def max_s1(sg, gs, j, xp, span=None) -> Optional[MaximalSubsemigroup]:
         span = span_at_or_above(sg, gs, j, xp)
     if any(gs.j_class[e] == j for e in span):
         return None
-    expected = _complement_elements(sg, gs, j)
-    ideal = ideal_below_generators(sg, gs, j)
-    extra = _gens_outside_j(sg, gs, j)
-    return _finish(sg, j, "S1", None, expected, extra, ideal)
+    return _without_class(sg, gs, j, "S1")
 
 
 # ---------------------------------------------------------------------------
@@ -228,61 +213,36 @@ def max_s2(sg, gs, j, xp, pfi: PrincipalFactorIso, span=None) -> list[MaximalSub
             ex = sg.product(e, x)
             if gs.j_class[ex] == j:
                 required.add(pfi.forward[ex])
-    results = []
-    ideal = ideal_below_generators(sg, gs, j)
-    below = _complement_elements(sg, gs, j)
-    for rz in max_r6(pfi.target, required_subset=required):
-        kept = frozenset(pfi.backward[t] for t in rz.element_set if t != ZERO)
-        expected = below | kept
-        extra = _gens_outside_j(sg, gs, j) + [
-            pfi.backward[t] for t in rz.generators if t != ZERO]
-        results.append(_finish(sg, j, "S2", rz.witness, expected, extra, ideal))
-    return results
+    return [_lift_rzms_result(sg, gs, j, pfi, rz, "S2")
+            for rz in max_r6(pfi.target, required_subset=required)]
 
 
 # ---------------------------------------------------------------------------
-# S3: rectangles (unions of both L- and R-classes)
+# The two sides of a J-class.  Gamma_L over the L-classes and Gamma_R over
+# the R-classes are mirror images, so S3-S5 are written once over a side.
 
-def _side_split(jg: JClassGraphs, chosen):
-    nl = jg.gamma_l.component_count
-    l_comps = sorted(v for v in chosen if v < nl)
-    r_comps = sorted(v - nl for v in chosen if v >= nl)
-    return l_comps, r_comps
+@dataclass(frozen=True)
+class _Side:
+    gamma: CondensedDigraph
+    class_ids: tuple[int, ...]  # local Gamma vertex -> global class id
+    class_of: tuple[int, ...]  # element index -> global class id
+    left: bool
+
+    def key(self, own, other):
+        """The (R-class, L-class) key of this side's class ``own`` and
+        the other side's class ``other``."""
+        return (other, own) if self.left else (own, other)
+
+    def class_of_component(self, c):
+        return self.class_ids[min(self.gamma.components[c])]
+
+    def classes_of(self, comps):
+        return frozenset(self.class_ids[v] for c in comps for v in self.gamma.components[c])
 
 
-def _l_classes_of_components(jg, comps):
-    out = set()
-    for c in comps:
-        out |= {jg.l_class_ids[v] for v in jg.gamma_l.components[c]}
-    return frozenset(out)
-
-
-def _r_classes_of_components(jg, comps):
-    out = set()
-    for c in comps:
-        out |= {jg.r_class_ids[v] for v in jg.gamma_r.components[c]}
-    return frozenset(out)
-
-
-def max_s3(sg, gs, j, xp, jg: JClassGraphs) -> list[MaximalSubsemigroup]:
-    nl = jg.gamma_l.component_count
-    nr = jg.gamma_r.component_count
-    flow_edges = set(jg.gamma_l.edges) | {
-        (a + nl, b + nl) for a, b in jg.gamma_r.edges}
-    flow = digraph(nl + nr, flow_edges)
-    results = []
-    for chosen in maximal_independent_sets_closed(jg.delta, flow):
-        l_comps, r_comps = _side_split(jg, chosen)
-        if not l_comps or not r_comps:
-            continue
-        chosen_set = set(chosen)
-        if not all(u in chosen_set or v in chosen_set for u, v in jg.theta.edges):
-            continue
-        a_classes = _l_classes_of_components(jg, l_comps)
-        b_classes = _r_classes_of_components(jg, r_comps)
-        results.append(_build_rectangle(sg, gs, j, jg, l_comps, r_comps,
-                                        a_classes, b_classes))
-    return results
+def _sides(gs, jg: JClassGraphs) -> tuple[_Side, _Side]:
+    return (_Side(jg.gamma_l, jg.l_class_ids, gs.l_class, True),
+            _Side(jg.gamma_r, jg.r_class_ids, gs.r_class, False))
 
 
 def _elements_by_pair(sg, gs, j):
@@ -294,28 +254,49 @@ def _elements_by_pair(sg, gs, j):
     return by_pair
 
 
-def _group_h_class_with_l_in(sg, gs, j, a_classes):
-    for e in sorted(gs.j_classes[j]):
-        if e in gs.idempotents and gs.l_class[e] in a_classes:
-            return e
-    return None
+def _one_sided_gens(gs, j, by_pair, own, other, kept, classes, other_comps=None):
+    """Generators of the part of J in ``own``'s classes ``classes`` (the
+    classes of the components ``kept``): the group H-class of the first
+    idempotent there, one element per source of ``kept`` in its class on
+    the other side, and one per source of ``other_comps`` (all of the
+    other side's components by default) in its class on this side."""
+    anchor = next(e for e in sorted(gs.j_classes[j])
+                  if e in gs.idempotents and own.class_of[e] in classes)
+    a_own, a_other = own.class_of[anchor], other.class_of[anchor]
+    gens = list(by_pair[own.key(a_own, a_other)])
+    for u in sources(own.gamma, kept):
+        gens.append(min(by_pair[own.key(own.class_of_component(u), a_other)]))
+    for v in sources(other.gamma, other_comps):
+        gens.append(min(by_pair[other.key(other.class_of_component(v), a_own)]))
+    return gens
 
 
-def _group_h_class_with_r_in(sg, gs, j, b_classes):
-    for e in sorted(gs.j_classes[j]):
-        if e in gs.idempotents and gs.r_class[e] in b_classes:
-            return e
-    return None
+# ---------------------------------------------------------------------------
+# S3: rectangles (unions of both L- and R-classes)
+
+def max_s3(sg, gs, j, xp, jg: JClassGraphs) -> list[MaximalSubsemigroup]:
+    nl = jg.gamma_l.component_count
+    nr = jg.gamma_r.component_count
+    flow_edges = set(jg.gamma_l.edges) | {
+        (a + nl, b + nl) for a, b in jg.gamma_r.edges}
+    flow = digraph(nl + nr, flow_edges)
+    results = []
+    for chosen in maximal_independent_sets(jg.delta, flow):
+        l_comps = sorted(v for v in chosen if v < nl)
+        r_comps = sorted(v - nl for v in chosen if v >= nl)
+        if not l_comps or not r_comps:
+            continue
+        if not all(u in chosen or v in chosen for u, v in jg.theta.edges):
+            continue
+        results.append(_build_rectangle(sg, gs, j, jg, l_comps, r_comps))
+    return results
 
 
-def _induced_sources(cd: CondensedDigraph, kept):
-    kept = set(kept)
-    has_in = {b for a, b in cd.edges if a in kept and b in kept}
-    return [k for k in sorted(kept) if k not in has_in]
-
-
-def _build_rectangle(sg, gs, j, jg, l_comps, r_comps, a_classes, b_classes):
+def _build_rectangle(sg, gs, j, jg, l_comps, r_comps):
     """Generators per the nine-item description for rectangle removals."""
+    left, right = _sides(gs, jg)
+    a_classes = left.classes_of(l_comps)
+    b_classes = right.classes_of(r_comps)
     by_pair = _elements_by_pair(sg, gs, j)
     members = set(gs.j_classes[j])
     expected = _complement_elements(sg, gs, j) | frozenset(
@@ -324,32 +305,16 @@ def _build_rectangle(sg, gs, j, jg, l_comps, r_comps, a_classes, b_classes):
 
     gens = list(_gens_outside_j(sg, gs, j))                      # (i)
     ideal = ideal_below_generators(sg, gs, j)                    # (ii)
+    outside_b = [c for c in range(right.gamma.component_count) if c not in r_comps]
+    gens += _one_sided_gens(gs, j, by_pair, left, right,         # (iii)-(v)
+                            l_comps, a_classes, outside_b)
+    outside_a = [c for c in range(left.gamma.component_count) if c not in l_comps]
+    gens += _one_sided_gens(gs, j, by_pair, right, left,         # (vi)-(viii)
+                            r_comps, b_classes, outside_a)
 
-    x_anchor = _group_h_class_with_l_in(sg, gs, j, a_classes)    # (iii)
-    gens += by_pair[(gs.r_class[x_anchor], gs.l_class[x_anchor])]
-    for u in _induced_sources(jg.gamma_l, l_comps):              # (iv)
-        lid = jg.l_class_ids[min(jg.gamma_l.components[u])]
-        gens.append(min(by_pair[(gs.r_class[x_anchor], lid)]))
-    all_r_comps = range(jg.gamma_r.component_count)
-    outside_b = [c for c in all_r_comps if c not in r_comps]
-    for v in _induced_sources(jg.gamma_r, outside_b):            # (v)
-        rid = jg.r_class_ids[min(jg.gamma_r.components[v])]
-        gens.append(min(by_pair[(rid, gs.l_class[x_anchor])]))
-
-    x2_anchor = _group_h_class_with_r_in(sg, gs, j, b_classes)   # (vi)
-    gens += by_pair[(gs.r_class[x2_anchor], gs.l_class[x2_anchor])]
-    for u in _induced_sources(jg.gamma_r, r_comps):              # (vii)
-        rid = jg.r_class_ids[min(jg.gamma_r.components[u])]
-        gens.append(min(by_pair[(rid, gs.l_class[x2_anchor])]))
-    all_l_comps = range(jg.gamma_l.component_count)
-    outside_a = [c for c in all_l_comps if c not in l_comps]
-    for v in _induced_sources(jg.gamma_l, outside_a):            # (viii)
-        lid = jg.l_class_ids[min(jg.gamma_l.components[v])]
-        gens.append(min(by_pair[(gs.r_class[x2_anchor], lid)]))
-
-    for u in sources(jg.gamma_l):                                # (ix)
+    for u in sources(left.gamma):                                # (ix)
         if u in l_comps:
-            lid = jg.l_class_ids[min(jg.gamma_l.components[u])]
+            lid = left.class_of_component(u)
             for rid in sorted(b_classes):
                 if (rid, lid) in by_pair:
                     gens.append(min(by_pair[(rid, lid)]))
@@ -363,59 +328,31 @@ def _build_rectangle(sg, gs, j, jg, l_comps, r_comps, a_classes, b_classes):
 # S4 / S5: one-sided removals
 
 def max_s4_s5(sg, gs, j, xp, jg: JClassGraphs, s3_results) -> list[MaximalSubsemigroup]:
+    """S4 removes a colour-0 source of Gamma_L, S5 one of Gamma_R."""
     by_pair = _elements_by_pair(sg, gs, j)
     members = set(gs.j_classes[j])
     below = _complement_elements(sg, gs, j)
     ideal = ideal_below_generators(sg, gs, j)
-    s3_a = {w[0] for w in (r.witness for r in s3_results)}
-    s3_b = {w[1] for w in (r.witness for r in s3_results)}
+    left, right = _sides(gs, jg)
     results = []
-
-    nl = jg.gamma_l.component_count
-    if nl > 1:
-        for u in sources(jg.gamma_l):
-            if jg.gamma_l.colour[u]:
+    for k, (tag, own, other) in enumerate((("S4", left, right), ("S5", right, left))):
+        n = own.gamma.component_count
+        if n <= 1:
+            continue
+        in_s3 = {r.witness[k] for r in s3_results}
+        for u in sources(own.gamma):
+            if own.gamma.colour[u]:
                 continue
-            kept = [c for c in range(nl) if c != u]
-            a_classes = _l_classes_of_components(jg, kept)
-            if tuple(sorted(a_classes)) in s3_a:
-                continue
-            expected = below | frozenset(
-                e for e in members if gs.l_class[e] in a_classes)
-            gens = list(_gens_outside_j(sg, gs, j))              # (i), (ii) below
-            x_anchor = _group_h_class_with_l_in(sg, gs, j, a_classes)
-            gens += by_pair[(gs.r_class[x_anchor], gs.l_class[x_anchor])]  # (iii)
-            for w in _induced_sources(jg.gamma_l, kept):         # (iv)
-                lid = jg.l_class_ids[min(jg.gamma_l.components[w])]
-                gens.append(min(by_pair[(gs.r_class[x_anchor], lid)]))
-            for v in sources(jg.gamma_r):                        # (v)
-                rid = jg.r_class_ids[min(jg.gamma_r.components[v])]
-                gens.append(min(by_pair[(rid, gs.l_class[x_anchor])]))
-            witness = (tuple(sorted(a_classes)),)
-            results.append(_finish(sg, j, "S4", witness, expected, gens, ideal))
-
-    nr = jg.gamma_r.component_count
-    if nr > 1:
-        for u in sources(jg.gamma_r):
-            if jg.gamma_r.colour[u]:
-                continue
-            kept = [c for c in range(nr) if c != u]
-            b_classes = _r_classes_of_components(jg, kept)
-            if tuple(sorted(b_classes)) in s3_b:
+            kept = [c for c in range(n) if c != u]
+            classes = own.classes_of(kept)
+            witness = (tuple(sorted(classes)),)
+            if witness[0] in in_s3:
                 continue
             expected = below | frozenset(
-                e for e in members if gs.r_class[e] in b_classes)
-            gens = list(_gens_outside_j(sg, gs, j))
-            x_anchor = _group_h_class_with_r_in(sg, gs, j, b_classes)
-            gens += by_pair[(gs.r_class[x_anchor], gs.l_class[x_anchor])]
-            for w in _induced_sources(jg.gamma_r, kept):
-                rid = jg.r_class_ids[min(jg.gamma_r.components[w])]
-                gens.append(min(by_pair[(rid, gs.l_class[x_anchor])]))
-            for v in sources(jg.gamma_l):
-                lid = jg.l_class_ids[min(jg.gamma_l.components[v])]
-                gens.append(min(by_pair[(gs.r_class[x_anchor], lid)]))
-            witness = (tuple(sorted(b_classes)),)
-            results.append(_finish(sg, j, "S5", witness, expected, gens, ideal))
+                e for e in members if own.class_of[e] in classes)
+            gens = _gens_outside_j(sg, gs, j) + _one_sided_gens(
+                gs, j, by_pair, own, other, kept, classes)
+            results.append(_finish(sg, j, tag, witness, expected, gens, ideal))
     return results
 
 
@@ -425,16 +362,15 @@ def max_s4_s5(sg, gs, j, xp, jg: JClassGraphs, s3_results) -> list[MaximalSubsem
 def max_s6(sg, gs, j, xp, jg: JClassGraphs, found_any: bool) -> Optional[MaximalSubsemigroup]:
     if found_any or jg.theta.edges:
         return None
-    expected = _complement_elements(sg, gs, j)
-    ideal = ideal_below_generators(sg, gs, j)
-    extra = _gens_outside_j(sg, gs, j)
-    return _finish(sg, j, "S6", None, expected, extra, ideal)
+    return _without_class(sg, gs, j, "S6")
 
 
 # ---------------------------------------------------------------------------
 # the full dispatch
 
-def _lift_rzms_result(sg, gs, j, pfi, rz: RzmsMaxSubsemigroup):
+def _lift_rzms_result(sg, gs, j, pfi, rz: RzmsMaxSubsemigroup, tag=None):
+    """Lift a Rees-matrix result on the principal factor of J, tagged
+    ``tag`` or else MAX- and the Rees type."""
     kept = frozenset(pfi.backward[t] for t in rz.element_set if t != ZERO)
     expected = _complement_elements(sg, gs, j) | kept
     ideal = ideal_below_generators(sg, gs, j)
@@ -445,7 +381,7 @@ def _lift_rzms_result(sg, gs, j, pfi, rz: RzmsMaxSubsemigroup):
         # R3/R4/R5 results carry no constructive generating set; use the
         # kept part of the class itself
         extra = _gens_outside_j(sg, gs, j) + sorted(kept)
-    return _finish(sg, j, "MAX-" + rz.type_tag, rz.witness, expected, extra, ideal)
+    return _finish(sg, j, tag or "MAX-" + rz.type_tag, rz.witness, expected, extra, ideal)
 
 
 def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
@@ -486,13 +422,8 @@ def _check_group_order(gs, j) -> None:
 def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
     if j in maximal_js:
         if len(gs.j_classes[j]) == 1:
-            expected = _complement_elements(sg, gs, j)
-            if not expected:
-                return  # one-element semigroup: S \ J is empty
-            ideal = ideal_below_generators(sg, gs, j)
-            extra = _gens_outside_j(sg, gs, j)
-            results.append(_finish(
-                sg, j, "MAX-TRIVIAL", None, expected, extra, ideal))
+            if sg.size > 1:  # in a one-element semigroup S \ J is empty
+                results.append(_without_class(sg, gs, j, "MAX-TRIVIAL"))
         else:
             # a non-trivial maximal J-class of a finite semigroup is regular
             _check_group_order(gs, j)

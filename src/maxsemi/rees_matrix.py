@@ -26,7 +26,6 @@ from .perm_group import (
     generate_group,
     identity,
     maximal_subgroup_classes,
-    normalizer,
     right_coset_reps,
 )
 

@@ -9,6 +9,12 @@ the right Cayley graph (every product a * g with a generator), and in
 multiplication table follows from that graph by integer lookups alone
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
 
+Subsemigroups generated by element indices all come from one walk,
+``closure_with_ideal``, which multiplies on the right only and leaves a
+given two-sided ideal unwalked: ``closure_of_indices`` is that walk with
+the empty ideal and ``span_at_or_above`` with the ideal of the elements
+not above a J-class.
+
 Green's relations are computed as strongly connected components of the
 one-sided Cayley graphs, which is valid in any finite semigroup by
 stability; the J order is the condensation of the two-sided Cayley graph.
@@ -296,9 +302,6 @@ class GreensStructure:
     regular_j: tuple[bool, ...]
     idempotents: frozenset
 
-    def is_maximal_j(self, j: int) -> bool:
-        return all(j not in self.j_reach[k] for k in range(len(self.j_classes)) if k != j)
-
     @cached_property
     def _maximal_js(self) -> frozenset:
         below_something = set()
@@ -415,72 +418,47 @@ def ideal_below_generators(sg: FiniteSemigroup, gs: GreensStructure, j: int) -> 
     ))
 
 
-def span_at_or_above(
-    sg: FiniteSemigroup, gs: GreensStructure, j: int, gen_indices: Sequence[int]
-) -> frozenset:
-    """Elements of <gens> whose J-class is >= j.
-
-    Products that fall out of the up-set can never climb back (a product's
-    J-class is below each factor's), so everything else is collapsed into
-    a single absorbing token and the walk stays small.
-    """
-    keep = {k for k in range(len(gs.j_classes)) if j in gs.j_reach[k]}
-    kept = set()
-    queue = []
-    for g in gen_indices:
-        if gs.j_class[g] in keep and g not in kept:
-            kept.add(g)
-            queue.append(g)
-    while queue:
-        frontier = []
-        for a in queue:
-            for g in gen_indices:
-                b = sg.product(a, g)
-                if gs.j_class[b] in keep and b not in kept:
-                    kept.add(b)
-                    frontier.append(b)
-        queue = frontier
-    return frozenset(kept)
-
-
-def closure_of_indices(sg: FiniteSemigroup, indices: Iterable[int]) -> frozenset:
-    """Subsemigroup generated by the given element indices."""
-    seed = list(dict.fromkeys(indices))
-    members = set(seed)
-    queue = list(seed)
-    while queue:
-        frontier = []
-        for a in queue:
-            for g in seed:
-                for b in (sg.product(a, g), sg.product(g, a)):
-                    if b not in members:
-                        members.add(b)
-                        frontier.append(b)
-        queue = frontier
-    return frozenset(members)
-
-
 def closure_with_ideal(
     sg: FiniteSemigroup, ideal: frozenset, extra: Iterable[int]
 ) -> frozenset:
     """<ideal u extra> when ``ideal`` is a two-sided ideal of sg.
 
-    Every word containing an ideal letter lies in the ideal, so the
-    closure is exactly <extra> u ideal; only the small part is walked.
+    This is the one index-level closure walk.  It multiplies on the right
+    only: every word x1...xk is reached through its prefixes, and a prefix
+    that falls into the ideal keeps the whole word there, so the closure
+    is exactly ideal u <extra minus ideal> and only that part is walked.
     """
-    extra = list(dict.fromkeys(extra))
-    members = set(extra)
-    queue = list(extra)
+    gens = [g for g in dict.fromkeys(extra) if g not in ideal]
+    members = set(gens)
+    queue = list(gens)
     while queue:
         frontier = []
         for a in queue:
-            for g in extra:
-                for b in (sg.product(a, g), sg.product(g, a)):
-                    if b not in members and b not in ideal:
-                        members.add(b)
-                        frontier.append(b)
+            for g in gens:
+                b = sg.product(a, g)
+                if b not in members and b not in ideal:
+                    members.add(b)
+                    frontier.append(b)
         queue = frontier
     return frozenset(members) | ideal
+
+
+def closure_of_indices(sg: FiniteSemigroup, indices: Iterable[int]) -> frozenset:
+    """Subsemigroup generated by the given element indices."""
+    return closure_with_ideal(sg, frozenset(), indices)
+
+
+def span_at_or_above(
+    sg: FiniteSemigroup, gs: GreensStructure, j: int, gen_indices: Sequence[int]
+) -> frozenset:
+    """Elements of <gens> whose J-class is >= j.
+
+    The elements whose J-class is not >= j form an ideal (a product's
+    J-class is below each factor's), so this is the closure walk with
+    that ideal split off, minus the ideal.
+    """
+    below = frozenset(e for e in range(sg.size) if j not in gs.j_reach[gs.j_class[e]])
+    return closure_with_ideal(sg, below, gen_indices) - below
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -194,3 +195,56 @@ class TestDot:
         _, via_gen = invoke([
             "dot", W_INPUT, "--graph", "theta", "--jclass-of-generator", "1"])
         assert via_id == via_gen
+
+
+# sha256 of the documents the CLI prints for the committed inputs; any
+# change here is a change to the byte-identical output contract
+DOCUMENT_DIGESTS = {
+    ("maximal", "rzms_s4.json"):
+        "74dc57eedcc0e69266651e1e4cce2ee465288e2c74edcbb814829895b6a7b70d",
+    ("maximal", "w_t7.json"):
+        "c87d78d93a7670c228d24ff4080f95a4eb29f0b7edba2cf5d2d135c4b4455cb9",
+    ("analyze", "rzms_s4.json"):
+        "049452b29617e303c6ec21fa9c3e24d3c52c48e5f495a7ec4c6f171bc2585eb9",
+    ("analyze", "w_t7.json"):
+        "150f4e7acb24b3a740a91b346600c5bc0ee01b4e6e38c7c69dfe079f828fbf95",
+}
+
+
+@pytest.mark.parametrize("cmd, name", sorted(DOCUMENT_DIGESTS))
+def test_document_digest(cmd, name):
+    code, text = invoke([cmd, os.path.join(DATA, name)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == DOCUMENT_DIGESTS[cmd, name]
+
+
+RZMS_OK = {"kind": "rzms", "group_degree": 2, "group_generators": ["(1 2)"],
+           "matrix": [["()"]]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "transformations", "generators": [1, 2]},
+    {"kind": "transformations", "generators": "12"},
+    {"kind": "transformations", "generators": [[1, "2"]]},
+    {"kind": "cayley_table", "table": [0]},
+    {"kind": "cayley_table", "table": [[0.0]]},
+    {"kind": "cayley_table", "table": [[0]], "generators": "a"},
+    {"kind": "cayley_table", "table": [[0]], "generators": [True]},
+    dict(RZMS_OK, matrix=[[5]]),
+    dict(RZMS_OK, matrix=["()"]),
+    dict(RZMS_OK, matrix={"0": 0}),
+    dict(RZMS_OK, group_generators="(1 2)"),
+    dict(RZMS_OK, group_generators=[12]),
+])
+def test_wrongly_shaped_input_is_an_input_error(spec, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(spec))
+    code, _ = invoke(["maximal", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_wrong_shape_fixture_is_valid(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(RZMS_OK))
+    assert invoke_json(["maximal", str(path)])["size"] == 3

@@ -9,7 +9,6 @@ from maxsemi.graphs import (
     digraph,
     graph,
     maximal_independent_sets,
-    maximal_independent_sets_closed,
     reachable_set,
     sources,
     strongly_connected_condensation,
@@ -154,6 +153,16 @@ def delta_example():
     return delta, flow
 
 
+def networkx_mis(g):
+    """Independent reference: maximal cliques of the complement, found by
+    networkx, sorted like maximal_independent_sets."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return sorted((frozenset(c) for c in nx.find_cliques(nx.complement(h))), key=sorted)
+
+
 class TestClosedIndependentSets:
     def test_no_closure_edges_matches_plain(self):
         rng = random.Random(5)
@@ -161,12 +170,14 @@ class TestClosedIndependentSets:
             n = rng.randint(1, 10)
             g = random_graph(rng, n, 0.4)
             empty = digraph(n, [])
-            assert maximal_independent_sets_closed(g, empty) == maximal_independent_sets(g)
+            expected = networkx_mis(g)
+            assert maximal_independent_sets(g, empty) == expected
+            assert maximal_independent_sets(g) == expected
 
     def test_delta_example_seven_sets_two_closed_two_sided(self):
         delta, flow = delta_example()
         assert len(maximal_independent_sets(delta)) == 7
-        closed = maximal_independent_sets_closed(delta, flow)
+        closed = maximal_independent_sets(delta, flow)
         # the two one-sided vertex families are trivially closed; the
         # interesting pair mixes the sides
         assert set(closed) == {
@@ -179,34 +190,24 @@ class TestClosedIndependentSets:
         k3 = graph(3, [(0, 1), (0, 2), (1, 2)])
         flow = digraph(3, [(0, 1)])
         # singletons are maximal; only those closed under the flow survive
-        assert set(maximal_independent_sets_closed(k3, flow)) == {
+        assert set(maximal_independent_sets(k3, flow)) == {
             frozenset({1}), frozenset({2})}
 
     def test_matches_filtered_enumeration(self):
+        nx = pytest.importorskip("networkx")
         rng = random.Random(31)
         for _ in range(300):
             n = rng.randint(1, 10)
             g = random_graph(rng, n, rng.uniform(0.1, 0.6))
             flow = random_digraph(rng, n, 0.2)
-            succ = {v: set() for v in range(n)}
-            for u, v in flow.edges:
-                succ[u].add(v)
-
-            def desc(v):
-                seen, stack = {v}, [v]
-                while stack:
-                    a = stack.pop()
-                    for b in succ[a]:
-                        if b not in seen:
-                            seen.add(b)
-                            stack.append(b)
-                return seen
-
+            reach = nx.DiGraph()
+            reach.add_nodes_from(range(n))
+            reach.add_edges_from(flow.edges)
             expected = [
-                s for s in maximal_independent_sets(g)
-                if all(desc(v) <= set(s) for v in s)
+                s for s in networkx_mis(g)
+                if all(nx.descendants(reach, v) <= s for v in s)
             ]
-            assert maximal_independent_sets_closed(g, flow) == expected
+            assert maximal_independent_sets(g, flow) == expected
 
 
 class TestDot:
