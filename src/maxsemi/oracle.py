@@ -1,19 +1,21 @@
 """Brute-force ground truth, independent of the classification machinery.
 
 ``brute_force_maximal`` enumerates every subset of the semigroup and
-keeps the inclusion-maximal closed proper ones; nothing from the theory
-is reused.  ``verify_maximal`` checks one candidate directly from the
-definition: closed, proper, and one-element extensions always generate
-everything.
+keeps the inclusion-maximal closed proper ones.  ``verify_maximal``
+checks one candidate M from the definition: M is closed, proper, and
+<M, x> = S for every x outside M, tried in increasing order.  A walk
+stops early at any y already shown to generate: y in <M, x> gives
+<M, x> contains <M, y> = S, a fact about subsemigroups, not about the
+package's theory.  Nothing from Green's relations, principal factors
+or the R/S searches is reused, so the oracle can judge them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
-
-import numpy as np
 
 from .errors import CapacityError
 from .semigroup_core import FiniteSemigroup, TABLE_BOUND
@@ -68,30 +70,28 @@ def brute_force_maximal(sg: FiniteSemigroup) -> OracleReport:
         size=n, maximal=tuple(sets), wall_time=time.perf_counter() - start)
 
 
-def _closure_fills(table: np.ndarray, closed_members, x: int) -> bool:
-    """True iff adjoining ``x`` to the (already closed) member set
-    generates every element.  Walks only the products that involve a
-    frontier element, and stops as soon as the set is full."""
-    n = table.shape[0]
-    in_set = np.zeros(n, dtype=bool)
-    in_set[closed_members] = True
-    in_set[x] = True
-    frontier = np.array([x], dtype=np.intp)
-    while frontier.size:
-        if in_set.all():
+def _generates(times, members, x: int, generating: set) -> bool:
+    """True iff <members, x> is everything (``members`` is closed), where
+    ``times[a](b)`` is a * b.  Each round multiplies the new elements by
+    the whole set on both sides, and the walk stops once it fills S or
+    meets an element of ``generating``."""
+    n = len(times)
+    inside = {x, *members}
+    frontier = [x]
+    while len(inside) < n:
+        snapshot = list(inside)
+        new = set()
+        for a in frontier:
+            new.update(map(times[a], snapshot))
+            new.update([times[b](a) for b in snapshot])
+        new -= inside
+        if not new:
+            return False
+        if not generating.isdisjoint(new):
             return True
-        members = np.flatnonzero(in_set)
-        prods = np.concatenate([
-            table[np.ix_(frontier, members)].ravel(),
-            table[np.ix_(members, frontier)].ravel(),
-        ])
-        new = np.unique(prods)
-        new = new[~in_set[new]]
-        if new.size == 0:
-            break
-        in_set[new] = True
+        inside |= new
         frontier = new
-    return bool(in_set.all())
+    return True
 
 
 def _closure_plain(sg: FiniteSemigroup, seed) -> set:
@@ -124,23 +124,21 @@ def verify_maximal(sg: FiniteSemigroup, candidate: Iterable[int]):
         return False, "candidate is empty"
     if any(not 0 <= e < n for e in members):
         return False, "candidate contains indices outside the semigroup"
+    if n <= TABLE_BOUND:
+        times = [row.__getitem__ for row in sg.table()]
+    else:
+        times = [partial(sg.product, a) for a in range(n)]
     for a in members:
-        for b in members:
-            c = sg.product(a, b)
-            if c not in member_set:
-                return False, f"not closed: {a} * {b} = {c} is missing"
+        if not member_set.issuperset(map(times[a], members)):
+            b = next(b for b in members if times[a](b) not in member_set)
+            return False, f"not closed: {a} * {b} = {times[a](b)} is missing"
     if len(member_set) == n:
         return False, "not proper: candidate is the whole semigroup"
-
-    use_numpy = n <= TABLE_BOUND
-    table = np.asarray(sg.table(), dtype=np.intp) if use_numpy else None
+    generating = set()
     for x in range(n):
         if x in member_set:
             continue
-        if use_numpy:
-            full = _closure_fills(table, members, x)
-        else:
-            full = len(_closure_plain(sg, members + [x])) == n
-        if not full:
+        if not _generates(times, members, x, generating):
             return False, f"not maximal: adjoining {x} does not generate everything"
+        generating.add(x)
     return True, "ok"

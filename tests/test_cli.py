@@ -52,6 +52,16 @@ class TestMaximal:
         doc = invoke_json(["maximal", W_INPUT, "--verify"])
         assert all(r["verified"] for r in doc["maximal_subsemigroups"])
 
+    def test_verify_flag_rees_scale(self):
+        code, text = invoke(["maximal", RZMS_INPUT, "--verify"])
+        assert code == 0
+        entries = json.loads(text)["maximal_subsemigroups"]
+        assert len(entries) == 32
+        assert all(r["verified"] is True for r in entries)
+        # pins the whole document, every verdict included
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7cf935f0891e241f297a3945db1640b10f28ad8751390ca1def279ffc16ac03b")
+
     def test_generators_regenerate_sizes(self):
         doc = invoke_json(["maximal", W_INPUT])
         import operator

@@ -1,12 +1,20 @@
+import itertools
+import operator
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
-from maxsemi import errors
+from maxsemi import errors, oracle
 from maxsemi.max_subsemigroups import max_subsemigroups
-from maxsemi.oracle import brute_force_maximal, verify_maximal
-from maxsemi.semigroup_core import from_table, greens_structure
+from maxsemi.oracle import (SUBSET_ENUMERATION_BOUND, _closure_plain,
+                            brute_force_maximal, verify_maximal)
+from maxsemi.semigroup_core import (Transformation, closure, from_table,
+                                    greens_structure, semigroup_from_rzms)
 
 
 class TestBruteForce:
@@ -108,3 +116,97 @@ class TestVerifyMaximal:
                     continue
                 ok, _ = verify_maximal(sg, subset)
                 assert ok == (subset in report)
+
+
+def reference_verdict(sg, candidate):
+    """verify_maximal without the early exit: every extension is walked
+    to the end by the oracle's plain two-sided closure."""
+    n = sg.size
+    members = sorted(set(candidate))
+    member_set = set(members)
+    for a in members:
+        for b in members:
+            c = sg.product(a, b)
+            if c not in member_set:
+                return False, f"not closed: {a} * {b} = {c} is missing"
+    if len(member_set) == n:
+        return False, "not proper: candidate is the whole semigroup"
+    for x in range(n):
+        if x not in member_set and len(_closure_plain(sg, members + [x])) < n:
+            return False, f"not maximal: adjoining {x} does not generate everything"
+    return True, "ok"
+
+
+def intersections(sets):
+    """Every non-empty intersection of two of ``sets``: closed, proper
+    and, for distinct maximal sets, never maximal."""
+    return [a & b for a, b in itertools.combinations(sets, 2) if a & b]
+
+
+class TestEarlyExit:
+    # the shortcut may only change how soon a verdict comes, never the
+    # verdict or its witness
+    def test_same_verdicts_as_full_walks(self, w_semigroup, oracle_corpus):
+        for sg in [w_semigroup] + [sg for _, sg in oracle_corpus]:
+            results = [r.element_indices for r in max_subsemigroups(sg)]
+            for candidate in results + intersections(results):
+                assert verify_maximal(sg, candidate) == reference_verdict(sg, candidate)
+
+    def test_s4_example(self, s4_rzms):
+        # walking every extension of a maximal S4 result to the end takes
+        # about 30 s per result (test_criterion_6_property_suite checks that
+        # the results are accepted), so the full walks run on a sample of
+        # the 496 intersections, where the first failing x is the witness
+        sg = semigroup_from_rzms(s4_rzms)
+        results = [r.element_indices for r in max_subsemigroups(sg)]
+        for candidate in random.Random(5).sample(intersections(results), 12):
+            ok, msg = verify_maximal(sg, candidate)
+            assert not ok and (ok, msg) == reference_verdict(sg, candidate)
+
+    def test_without_table(self, w_semigroup, monkeypatch):
+        # above TABLE_BOUND the oracle multiplies through sg.product
+        results = [r.element_indices for r in max_subsemigroups(w_semigroup)]
+        control = results[0] & results[-1]
+        with_table = [verify_maximal(w_semigroup, m) for m in results + [control]]
+        monkeypatch.setattr(oracle, "TABLE_BOUND", 0)
+        without = [verify_maximal(w_semigroup, m) for m in results + [control]]
+        assert without == with_table
+        assert all(ok for ok, _ in with_table[:-1])
+        assert with_table[-1][1].startswith("not maximal")
+
+
+@st.composite
+def small_transformation_semigroups(draw):
+    """A subsemigroup of T_degree (2 <= degree <= 4) with at most 16 elements:
+    each drawn generator is kept if the closure stays that small, and the
+    first one always fits."""
+    degree = draw(st.integers(2, 4))
+    images = st.one_of(st.tuples(*[st.integers(0, degree - 1)] * degree),
+                       st.permutations(range(degree)).map(tuple))
+    gens, sg = [], None
+    for row in draw(st.lists(images, min_size=1, max_size=5)):
+        try:
+            sg = closure(gens + [Transformation(row)], operator.mul,
+                         max_size=SUBSET_ENUMERATION_BOUND)
+        except errors.CapacityError:
+            continue
+        gens.append(Transformation(row))
+    return sg
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(small_transformation_semigroups())
+def test_search_matches_brute_force(sg):
+    results = {r.element_indices for r in max_subsemigroups(sg)}
+    assert results == set(brute_force_maximal(sg).maximal)
+    for m in results:
+        assert verify_maximal(sg, m) == (True, "ok")
+
+
+def test_import_leaves_numpy_out():
+    # a fresh interpreter, so no other test's imports count
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, maxsemi; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
