@@ -51,6 +51,9 @@ from .semigroup_core import (
 )
 
 SCHEMA_VERSION = 1
+TYPE_TAGS = frozenset(
+    [f"R{k}" for k in range(1, 7)] + ["MAX-TRIVIAL"]
+    + [f"MAX-R{k}" for k in range(3, 7)] + [f"S{k}" for k in range(1, 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +116,7 @@ def _build_cayley_table(spec):
 
 def _build_rzms(spec) -> ReesZeroMatrixSemigroup:
     degree = spec.get("group_degree")
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise InputError("rzms input needs a positive integer 'group_degree'")
     gen_texts = spec.get("group_generators", [])
     if not isinstance(gen_texts, list) or not all(isinstance(t, str) for t in gen_texts):
@@ -252,11 +255,15 @@ def _emit(doc, args, stream):
 # subcommands
 
 def cmd_maximal(args, stream) -> int:
+    wanted = set(args.types.split(",")) if args.types else None
+    if wanted and not wanted <= TYPE_TAGS:
+        unknown = ", ".join(map(repr, sorted(wanted - TYPE_TAGS)))
+        raise InputError(f"unknown type tag {unknown} in --types; known tags are "
+                         "R1-R6, MAX-TRIVIAL, MAX-R3-MAX-R6 and S1-S6")
     spec = _load_spec(args.input)
     started = time.perf_counter()
     sg, rzms = _build_semigroup(spec, args)
     kind = spec["kind"]
-    wanted = set(args.types.split(",")) if args.types else None
 
     # each result as (result, J-class, generator payloads, element indices);
     # the Rees results' indices are read lazily, only under --verify
@@ -407,7 +414,8 @@ def _parser() -> argparse.ArgumentParser:
     m = sub.add_parser("maximal", help="compute all maximal subsemigroups")
     add_common(m)
     m.add_argument("--types", default=None,
-                   help="comma-separated type tags to keep (e.g. R5,R6 or S3,S4)")
+                   help="comma-separated type tags to keep, from R1-R6, MAX-TRIVIAL, "
+                        "MAX-R3-MAX-R6 and S1-S6 (e.g. R5,R6 or S3,S4)")
     m.add_argument("--verify", action="store_true",
                    help="check every result with the brute-force verifier")
 

@@ -32,12 +32,13 @@ from .graphs import (
     strongly_connected_condensation,
 )
 from .perm_group import _check_lattice_order
-from .rees_matrix import RzmsMaxSubsemigroup, ZERO, max_r3_r4, max_r5, max_r6
+from .rees_matrix import RzmsMaxSubsemigroup, ZERO, max_r6, max_subsemigroups_rzms
 from .semigroup_core import (
     FiniteSemigroup,
     GreensStructure,
     PrincipalFactorIso,
     closure_with_ideal,
+    elements_by_pair,
     greens_structure,
     ideal_below_generators,
     principal_factor_iso,
@@ -245,15 +246,6 @@ def _sides(gs, jg: JClassGraphs) -> tuple[_Side, _Side]:
             _Side(jg.gamma_r, jg.r_class_ids, gs.r_class, False))
 
 
-def _elements_by_pair(sg, gs, j):
-    by_pair = {}
-    for e in gs.j_classes[j]:
-        by_pair.setdefault((gs.r_class[e], gs.l_class[e]), []).append(e)
-    for v in by_pair.values():
-        v.sort()
-    return by_pair
-
-
 def _one_sided_gens(gs, j, by_pair, own, other, kept, classes, other_comps=None):
     """Generators of the part of J in ``own``'s classes ``classes`` (the
     classes of the components ``kept``): the group H-class of the first
@@ -297,7 +289,7 @@ def _build_rectangle(sg, gs, j, jg, l_comps, r_comps):
     left, right = _sides(gs, jg)
     a_classes = left.classes_of(l_comps)
     b_classes = right.classes_of(r_comps)
-    by_pair = _elements_by_pair(sg, gs, j)
+    by_pair = elements_by_pair(gs, j)
     members = set(gs.j_classes[j])
     expected = _complement_elements(sg, gs, j) | frozenset(
         e for e in members
@@ -329,7 +321,7 @@ def _build_rectangle(sg, gs, j, jg, l_comps, r_comps):
 
 def max_s4_s5(sg, gs, j, xp, jg: JClassGraphs, s3_results) -> list[MaximalSubsemigroup]:
     """S4 removes a colour-0 source of Gamma_L, S5 one of Gamma_R."""
-    by_pair = _elements_by_pair(sg, gs, j)
+    by_pair = elements_by_pair(gs, j)
     members = set(gs.j_classes[j])
     below = _complement_elements(sg, gs, j)
     ideal = ideal_below_generators(sg, gs, j)
@@ -428,10 +420,9 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
             # a non-trivial maximal J-class of a finite semigroup is regular
             _check_group_order(gs, j)
             pfi = principal_factor_iso(sg, gs, j)
-            for rz in (max_r3_r4(pfi.target)
-                       + max_r5(pfi.target)
-                       + max_r6(pfi.target)):
-                results.append(_lift_rzms_result(sg, gs, j, pfi, rz))
+            for rz in max_subsemigroups_rzms(pfi.target):
+                if rz.type_tag != "R2":  # R \ {0} lifts to S itself
+                    results.append(_lift_rzms_result(sg, gs, j, pfi, rz))
         return
 
     xp = x_prime(sg, gs, j)

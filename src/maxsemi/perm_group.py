@@ -5,6 +5,13 @@ is found by closing the set of cyclic subgroups under pairwise joins,
 which is complete for any finite group (every subgroup is a join of the
 cyclic subgroups it contains).  Nothing here is meant to scale past a few
 hundred elements; ``SUBGROUP_ORDER_BOUND`` guards the lattice routines.
+
+``_close_elements`` stays apart from ``semigroup_core.closure``, although
+a subgroup is the semigroup closure of the identity and its generators:
+``semigroup_core`` imports this module, so the kernel cannot call up into
+it, and ``closure`` also records the right Cayley graph, which no group
+routine reads.  Through ``closure``, ``all_subgroups`` of A5 (2 396
+closures) finds the same subgroups about 10 % more slowly.
 """
 
 from __future__ import annotations
@@ -140,6 +147,14 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def mul_table(self) -> tuple[dict, list]:
+        """(index, products): ``index`` maps each element to its position
+        in ``elements`` and ``products[a][b]`` is the position of
+        ``elements[a] * elements[b]``.  Built once and shared: read only."""
+        index = {g: k for k, g in enumerate(self.elements)}
+        return index, [[index[a * b] for b in self.elements] for a in self.elements]
 
     def identity(self) -> Permutation:
         return identity(self.degree)

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graphs import Graph, connected_components, graph, maximal_independent_sets
+from .graphs import Graph, adjacency, connected_components, graph, maximal_independent_sets
 from .perm_group import (
     PermGroup,
     _check_lattice_order,
     Permutation,
-    conjugate_subgroup,
     generate_group,
     identity,
     maximal_subgroup_classes,
@@ -67,9 +66,6 @@ class ReesZeroMatrixSemigroup:
     @property
     def size(self) -> int:
         return self.num_cols * self.num_rows * self.group.order + 1
-
-    def entry(self, lam: int, i: int) -> Optional[Permutation]:
-        return self.matrix[lam][i]
 
     def elements(self):
         yield ZERO
@@ -177,10 +173,7 @@ def normalize(rzms: ReesZeroMatrixSemigroup) -> NormalizationData:
     u: list = [None] * m
     v: list = [None] * rzms.num_rows
     comp_records = []
-    gh_adj: dict[int, list[int]] = {w: [] for w in range(gh.vertex_count)}
-    for a, b in sorted(gh.edges):
-        gh_adj[a].append(b)
-        gh_adj[b].append(a)
+    gh_adj = adjacency(gh)
 
     for comp in comps:
         root = min(w for w in comp if w < m)
@@ -190,7 +183,7 @@ def normalize(rzms: ReesZeroMatrixSemigroup) -> NormalizationData:
         seen = {root}
         while queue:
             w = queue.pop(0)
-            for nb in gh_adj[w]:
+            for nb in sorted(gh_adj[w]):
                 if nb in seen:
                     continue
                 seen.add(nb)
@@ -244,14 +237,10 @@ def normalize(rzms: ReesZeroMatrixSemigroup) -> NormalizationData:
 
 
 def _verify_iso(data: NormalizationData) -> None:
-    """Exhaustive check that forward() preserves multiplication, using an
-    integer shadow of the group to keep the pair loop cheap."""
+    """Exhaustive check that forward() preserves multiplication, on the
+    group's integer multiplication table to keep the pair loop cheap."""
     src, dst = data.original, data.normalized
-    g_index = {g: k for k, g in enumerate(src.group.elements)}
-    mul = {}
-    for a, ka in g_index.items():
-        for b, kb in g_index.items():
-            mul[ka, kb] = g_index[a * b]
+    g_index, mul = src.group.mul_table
     src_p = [[None if e is None else g_index[e] for e in row] for row in src.matrix]
     dst_p = [[None if e is None else g_index[e] for e in row] for row in dst.matrix]
     ucol = [g_index[p] for p in data.col_scale]
@@ -260,7 +249,7 @@ def _verify_iso(data: NormalizationData) -> None:
     vinv = [g_index[p.inverse()] for p in data.row_scale]
 
     def fwd(i, kg, lam):
-        return (i, mul[mul[ucol[i], kg], vrow[lam]], lam)
+        return (i, mul[mul[ucol[i]][kg]][vrow[lam]], lam)
 
     triples = [
         (i, kg, lam)
@@ -270,7 +259,7 @@ def _verify_iso(data: NormalizationData) -> None:
     ]
     for (i, kg, lam) in triples:
         fi, fkg, flam = fwd(i, kg, lam)
-        back = mul[mul[uinv[i], fkg], vinv[lam]]
+        back = mul[mul[uinv[i]][fkg]][vinv[lam]]
         if back != kg:
             raise AssertionError("normalization iso is not a bijection")
     for (i, kg, lam) in triples:
@@ -281,9 +270,9 @@ def _verify_iso(data: NormalizationData) -> None:
                 raise AssertionError("normalization altered the zero pattern")
             if p is None:
                 continue
-            prod = (i, mul[mul[kg, p], kh], mu)
+            prod = (i, mul[mul[kg][p]][kh], mu)
             fa, fb = fwd(i, kg, lam), fwd(k, kh, mu)
-            image = (fa[0], mul[mul[fa[1], q], fb[1]], fb[2])
+            image = (fa[0], mul[mul[fa[1]][q]][fb[1]], fb[2])
             if fwd(*prod) != image:
                 raise AssertionError("normalization iso does not preserve products")
 
@@ -339,36 +328,21 @@ def _elem_key(x):
 
 
 def max_r3_r4(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
-    """Single-row / single-column removals whose induced Graham-Houghton
-    subgraph keeps every vertex incident to an edge."""
+    """Single-row (R3) and single-column (R4) removals.  Removing a
+    Graham-Houghton vertex must leave every other vertex on an edge, so no
+    neighbour of it may have it as its only neighbour."""
     out = []
     m = rzms.num_cols
-    gh = graham_houghton(rzms)
-    degrees = [0] * gh.vertex_count
-    neighbour_sets: list[set] = [set() for _ in range(gh.vertex_count)]
-    for a, b in gh.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-        neighbour_sets[a].add(b)
-        neighbour_sets[b].add(a)
-
-    if rzms.num_rows > 1:
-        for lam in range(rzms.num_rows):
-            vertex = m + lam
-            # removing lam may only isolate columns whose sole edge was to lam
-            if all(degrees[i] > 1 or vertex not in neighbour_sets[i] for i in range(m)):
-                elems = frozenset(
-                    x for x in _all_nonzero(rzms) if x[2] != lam) | {ZERO}
+    adj = adjacency(graham_houghton(rzms))
+    # (tag, coordinate of the removed index in (i, g, lam), count, first vertex)
+    for tag, pos, count, first in (("R3", 2, rzms.num_rows, m), ("R4", 0, m, 0)):
+        if count == 1:
+            continue
+        for x in range(count):
+            if all(len(adj[w]) > 1 for w in adj[first + x]):
+                elems = frozenset(e for e in _all_nonzero(rzms) if e[pos] != x) | {ZERO}
                 out.append(RzmsMaxSubsemigroup(
-                    "R3", (lam,), tuple(sorted(elems, key=_elem_key)), elems))
-    if m > 1:
-        for i in range(m):
-            if all(degrees[m + lam] > 1 or i not in neighbour_sets[m + lam]
-                   for lam in range(rzms.num_rows)):
-                elems = frozenset(
-                    x for x in _all_nonzero(rzms) if x[0] != i) | {ZERO}
-                out.append(RzmsMaxSubsemigroup(
-                    "R4", (i,), tuple(sorted(elems, key=_elem_key)), elems))
+                    tag, (x,), tuple(sorted(elems, key=_elem_key)), elems))
     return out
 
 
@@ -397,24 +371,13 @@ def max_r5(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
     return out
 
 
-def _assemble_tuples(candidate_lists, pair_constraints):
-    """Backtracking product of the per-component candidate lists, pruning
-    with the pairwise constraints as soon as both coordinates are set.
-
-    ``pair_constraints[(k, l)]`` is a predicate on (t_k, t_l).
-    """
+def _assemble_tuples(candidate_lists, checks, v_set):
+    """Backtracking product of the per-component candidate lists.  A test
+    (a, b, g) in ``checks[k]`` has max(a, b) = k, so both coordinates are
+    set once t_k is chosen; it requires t_a g t_b^-1 in V."""
     n = len(candidate_lists)
     results = []
     chosen = [None] * n
-
-    def relevant(k):
-        for (a, b), pred in pair_constraints.items():
-            if b == k and a < k:
-                yield a, b, pred
-            elif a == k and b < k:
-                yield a, b, pred
-            elif a == b == k:
-                yield a, b, pred
 
     def extend(k):
         if k == n:
@@ -422,14 +385,8 @@ def _assemble_tuples(candidate_lists, pair_constraints):
             return
         for t in candidate_lists[k]:
             chosen[k] = t
-            ok = True
-            for a, b, pred in relevant(k):
-                if not pred(chosen[a], chosen[b]):
-                    ok = False
-                    break
-            if ok:
+            if all(chosen[a] * g * chosen[b].inverse() in v_set for a, b, g in checks[k]):
                 extend(k + 1)
-        chosen[k] = None
 
     extend(0)
     return results
@@ -438,7 +395,6 @@ def _assemble_tuples(candidate_lists, pair_constraints):
 def max_r6(
     rzms: ReesZeroMatrixSemigroup,
     required_subset: Optional[Iterable] = None,
-    _reverse_transversals: bool = False,
 ) -> list[RzmsMaxSubsemigroup]:
     """Maximal subsemigroups meeting every H-class: one per maximal
     subgroup class V of G and tuple (t_1, ..., t_n) with G_1 <= t_1^-1 V t_1
@@ -451,86 +407,60 @@ def max_r6(
     """
     _check_lattice_order(rzms.group.order)  # before normalize builds anything
     data = normalize(rzms)
-    normd = data.normalized
-    group = rzms.group
     comps = data.components
-    n = len(comps)
-    comp_of_i = {}
-    comp_of_lam = {}
-    for k, comp in enumerate(comps):
-        for i in comp.i_indices:
-            comp_of_i[i] = k
-        for lam in comp.lam_indices:
-            comp_of_lam[lam] = k
+    comp_of_i = {i: k for k, comp in enumerate(comps) for i in comp.i_indices}
+    comp_of_lam = {lam: k for k, comp in enumerate(comps) for lam in comp.lam_indices}
 
-    required = []
-    if required_subset is not None:
-        for x in required_subset:
-            if x == ZERO:
-                continue
+    # h lies in the (k, l) block of the subsemigroup iff t_k h t_l^-1 in V;
+    # checks[k] holds the tests whose larger block index is k
+    checks = [[] for _ in comps]
+    for x in required_subset or ():
+        if x != ZERO:
             i, g, lam = data.forward(x)
-            required.append((comp_of_i[i], comp_of_lam[lam], g))
-
-    idempotents_norm = [ZERO] + [
-        (i, normd.matrix[lam][i].inverse(), lam)
-        for lam in range(normd.num_rows)
-        for i in range(normd.num_cols)
-        if normd.matrix[lam][i] is not None
-    ]
+            k, l = comp_of_i[i], comp_of_lam[lam]
+            checks[max(k, l)].append((k, l, g))
 
     out = []
-    for cls in maximal_subgroup_classes(group):
-        v_group = cls.representative
-        v_set = v_group.element_set
-
-        def contains(sub_elements, candidate):
-            return all(x in candidate for x in sub_elements)
-
-        t1_candidates = cls.normalizer_coset_reps
-        if _reverse_transversals:
-            t1_candidates = right_coset_reps(
-                group, cls.normalizer, candidates=tuple(reversed(group.elements)))
-        t1_list = [
-            t for t in t1_candidates
-            if contains(comps[0].subgroup.elements,
-                        conjugate_subgroup(v_group, t).element_set)
+    for cls in maximal_subgroup_classes(rzms.group):
+        v_set = cls.representative.element_set
+        v_reps = right_coset_reps(rzms.group, cls.representative)
+        # G_k <= t^-1 V t iff t g t^-1 in V for every generator g of G_k
+        candidate_lists = [
+            [t for t in (cls.normalizer_coset_reps if k == 0 else v_reps)
+             if all(t * g * t.inverse() in v_set for g in comp.subgroup.generators)]
+            for k, comp in enumerate(comps)
         ]
-        v_coset_candidates = (
-            tuple(reversed(group.elements)) if _reverse_transversals else None)
-        v_reps = right_coset_reps(group, v_group, candidates=v_coset_candidates)
-        candidate_lists = [t1_list]
-        for k in range(1, n):
-            candidate_lists.append([
-                g for g in v_reps
-                if contains(comps[k].subgroup.elements,
-                            conjugate_subgroup(v_group, g).element_set)
-            ])
         if any(not lst for lst in candidate_lists):
             continue
-
-        # h lies in the (k, l) block of the subsemigroup iff t_k h t_l^-1 in V
-        constraints = {}
-        for k, l, g in required:
-            key = (min(k, l), max(k, l)) if k != l else (k, k)
-
-            def pred(tk, tl, g=g, swap=(k > l)):
-                a, b = (tl, tk) if swap else (tk, tl)
-                return a * g * b.inverse() in v_set
-
-            constraints.setdefault(key, []).append(pred)
-        merged = {
-            key: (lambda ta, tb, preds=preds: all(p(ta, tb) for p in preds))
-            for key, preds in constraints.items()
-        }
-
-        for ts in _assemble_tuples(candidate_lists, merged):
-            out.append(_build_r6(data, cls, ts, idempotents_norm))
+        for ts in _assemble_tuples(candidate_lists, checks, v_set):
+            out.append(_build_r6(data, cls, ts))
     return out
 
 
-def _build_r6(data, cls, ts, idempotents_norm) -> RzmsMaxSubsemigroup:
+def _lemma_generators(data: NormalizationData, v_elements, ts) -> list:
+    """The generating set of the R6 lemma, pulled back from the normalized
+    form: the zero and the idempotents, the anchor block t_1^-1 V t_1 of
+    the first component, and for each later component k the two crossings
+    t_1^-1 t_k and t_k^-1 t_1 between its anchor and the first one."""
+    normd = data.normalized
     comps = data.components
-    group = data.original.group
+    gens = [ZERO] + [
+        (i, p.inverse(), lam)
+        for lam, row in enumerate(normd.matrix)
+        for i, p in enumerate(row)
+        if p is not None
+    ]
+    i1, lam1 = comps[0].anchor_i, comps[0].anchor_lam
+    t1_inv = ts[0].inverse()
+    gens.extend((i1, t1_inv * v * ts[0], lam1) for v in v_elements)
+    for k in range(1, len(comps)):
+        gens.append((i1, t1_inv * ts[k], comps[k].anchor_lam))
+        gens.append((comps[k].anchor_i, ts[k].inverse() * ts[0], lam1))
+    return [data.backward(x) for x in gens]
+
+
+def _build_r6(data, cls, ts) -> RzmsMaxSubsemigroup:
+    comps = data.components
     v_elements = cls.representative.elements
 
     element_set = {ZERO}
@@ -543,19 +473,11 @@ def _build_r6(data, cls, ts, idempotents_norm) -> RzmsMaxSubsemigroup:
                     for g in middle:
                         element_set.add(data.backward((i, g, lam)))
 
-    i1, lam1 = comps[0].anchor_i, comps[0].anchor_lam
-    t1_inv = ts[0].inverse()
-    gens = list(idempotents_norm)
-    gens.extend((i1, t1_inv * v * ts[0], lam1) for v in v_elements)
-    for k in range(1, len(comps)):
-        gens.append((i1, t1_inv * ts[k], comps[k].anchor_lam))
-        gens.append((comps[k].anchor_i, ts[k].inverse() * ts[0], lam1))
-    generators = tuple(data.backward(x) for x in gens)
-
     witness = (
         tuple(p.images for p in cls.representative.generators),
         tuple(t.images for t in ts),
     )
+    generators = tuple(_lemma_generators(data, v_elements, ts))
     return RzmsMaxSubsemigroup("R6", witness, generators, frozenset(element_set))
 
 
@@ -577,28 +499,9 @@ def max_subsemigroups_rzms(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemi
 
 
 def generating_set(rzms: ReesZeroMatrixSemigroup) -> list:
-    """A compact verified generating set for R as a semigroup: the
-    idempotents, one full anchor H-class, and the crossing elements that
-    tie the Graham-Houghton components together (the V = G case of the
-    generating-set lemma, pulled back from the normalized form)."""
+    """A compact verified generating set for R as a semigroup: the V = G,
+    t = 1 case of the R6 generating-set lemma, without repeats."""
     data = normalize(rzms)
-    normd = data.normalized
-    comps = data.components
-    gens = [ZERO]
-    for lam in range(normd.num_rows):
-        for i in range(normd.num_cols):
-            if normd.matrix[lam][i] is not None:
-                gens.append((i, normd.matrix[lam][i].inverse(), lam))
-    i1, lam1 = comps[0].anchor_i, comps[0].anchor_lam
-    gens.extend((i1, g, lam1) for g in rzms.group.elements)
-    for comp in comps[1:]:
-        gens.append((i1, identity(rzms.group.degree), comp.anchor_lam))
-        gens.append((comp.anchor_i, identity(rzms.group.degree), lam1))
-    pulled = [data.backward(x) for x in gens]
-    seen = set()
-    unique = []
-    for x in pulled:
-        if x not in seen:
-            seen.add(x)
-            unique.append(x)
-    return unique
+    one = identity(rzms.group.degree)
+    return list(dict.fromkeys(
+        _lemma_generators(data, rzms.group.elements, [one] * len(data.components))))

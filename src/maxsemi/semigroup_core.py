@@ -503,13 +503,18 @@ class PrincipalFactorIso:
     target: ReesZeroMatrixSemigroup
     forward: dict
     backward: dict
-    row_r_classes: tuple[int, ...]  # RZMS column index i -> R-class id
-    col_l_classes: tuple[int, ...]  # RZMS row index lam -> L-class id
 
 
-def principal_factor_iso(
-    sg: FiniteSemigroup, gs: GreensStructure, j: int, verify: Optional[bool] = None
-) -> PrincipalFactorIso:
+def elements_by_pair(gs: GreensStructure, j: int) -> dict[tuple[int, int], list[int]]:
+    """The members of J-class ``j`` grouped by H-class, keyed by the pair
+    (R-class id, L-class id); each list is in increasing order."""
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for e in gs.j_classes[j]:  # members are listed in increasing order
+        by_pair.setdefault((gs.r_class[e], gs.l_class[e]), []).append(e)
+    return by_pair
+
+
+def principal_factor_iso(sg: FiniteSemigroup, gs: GreensStructure, j: int) -> PrincipalFactorIso:
     if not gs.regular_j[j]:
         raise InputError(
             f"J-class {j} is not regular; its principal factor is null "
@@ -520,12 +525,7 @@ def principal_factor_iso(
     l_ids = sorted({gs.l_class[e] for e in members})
     e0 = min(e for e in members if e in gs.idempotents)
     re, le = gs.r_class[e0], gs.l_class[e0]
-
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in members:
-        by_pair.setdefault((gs.r_class[e], gs.l_class[e]), []).append(e)
-    for v in by_pair.values():
-        v.sort()
+    by_pair = elements_by_pair(gs, j)
 
     row_reps = [min(by_pair[(r, le)]) for r in r_ids]      # r_i in R_i n L_e
     col_reps = [min(by_pair[(re, l)]) for l in l_ids]      # q_lam in L_lam n R_e
@@ -554,24 +554,15 @@ def principal_factor_iso(
         raise AssertionError("principal factor coordinatisation is not a bijection")
     backward = {t: e for e, t in forward.items()}
 
-    if verify is None:
-        verify = len(members) <= 5000
-    if verify:
+    if len(members) <= 5000:
         _verify_principal_factor(sg, gs, j, forward, target)
 
     return PrincipalFactorIso(
-        j_class=j, target=target, forward=forward, backward=backward,
-        row_r_classes=tuple(r_ids), col_l_classes=tuple(l_ids),
-    )
+        j_class=j, target=target, forward=forward, backward=backward)
 
 
 def _verify_principal_factor(sg, gs, j, forward, target) -> None:
-    # integer shadow: permutations as indices into the group's element list
-    g_index = {g: k for k, g in enumerate(target.group.elements)}
-    mul = {}
-    for a, ka in g_index.items():
-        for b, kb in g_index.items():
-            mul[ka, kb] = g_index[a * b]
+    g_index, mul = target.group.mul_table
     p_idx = [[None if e is None else g_index[e] for e in row] for row in target.matrix]
     fwd = {e: (i, g_index[g], lam) for e, (i, g, lam) in forward.items()}
     members = list(fwd)
@@ -583,7 +574,7 @@ def _verify_principal_factor(sg, gs, j, forward, target) -> None:
             xy = sg.product(x, y)
             p = p_idx[lx][iy]
             if j_of[xy] == j:
-                if p is None or fwd[xy] != (ix, mul[mul[gx, p], gy], ly):
+                if p is None or fwd[xy] != (ix, mul[mul[gx][p]][gy], ly):
                     raise AssertionError(
                         "principal factor map does not preserve products")
             else:

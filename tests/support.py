@@ -2,11 +2,22 @@
 Rees 0-matrix semigroup over S4 and a transformation semigroup inside
 T7), small standard semigroup families, and the oracle corpus."""
 
+import contextlib
 import operator
 import random
 
+import pytest
+
+from maxsemi import rees_matrix
 from maxsemi.errors import CapacityError, InputError
-from maxsemi.perm_group import Permutation, generate_group, parse_cycles
+from maxsemi.perm_group import (
+    MaximalSubgroupClass,
+    Permutation,
+    generate_group,
+    maximal_subgroup_classes,
+    parse_cycles,
+    right_coset_reps,
+)
 from maxsemi.rees_matrix import ReesZeroMatrixSemigroup, brandt
 from maxsemi.semigroup_core import Transformation, closure, from_table
 
@@ -168,6 +179,26 @@ def random_transformation_semigroups(degree, count, seed, max_size=16):
         seen.add(key)
         out.append(sg)
     return out
+
+
+@contextlib.contextmanager
+def reversed_transversals():
+    """Inside the block the R6 search draws its coset transversals, of
+    N_G(V) and of V in G, by scanning the group from its last element
+    instead of from the identity.  Its results must not change."""
+
+    def reps(group, sub):
+        return right_coset_reps(group, sub, candidates=tuple(reversed(group.elements)))
+
+    def classes(group):
+        return [MaximalSubgroupClass(c.representative, c.normalizer,
+                                     reps(group, c.normalizer))
+                for c in maximal_subgroup_classes(group)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rees_matrix, "right_coset_reps", reps)
+        mp.setattr(rees_matrix, "maximal_subgroup_classes", classes)
+        yield
 
 
 def adjoin_identity_to_rzms(rzms):

@@ -48,6 +48,12 @@ class TestMaximal:
         assert doc["counts_by_type"] == {"R5": 14}
         assert all(r["type"] == "R5" for r in doc["maximal_subsemigroups"])
 
+    @pytest.mark.parametrize("types, tag", [("R7", "R7"), ("r6", "r6"), ("R6,", "")])
+    def test_unknown_type_tag_is_an_input_error(self, types, tag, capsys):
+        code, out = invoke(["maximal", W_INPUT, "--types", types])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: unknown type tag {tag!r} ")
+
     def test_verify_flag(self):
         doc = invoke_json(["maximal", W_INPUT, "--verify"])
         assert all(r["verified"] for r in doc["maximal_subsemigroups"])
@@ -245,6 +251,7 @@ RZMS_OK = {"kind": "rzms", "group_degree": 2, "group_generators": ["(1 2)"],
     dict(RZMS_OK, matrix={"0": 0}),
     dict(RZMS_OK, group_generators="(1 2)"),
     dict(RZMS_OK, group_generators=[12]),
+    dict(RZMS_OK, group_degree=True),
 ])
 def test_wrongly_shaped_input_is_an_input_error(spec, tmp_path, capsys):
     path = tmp_path / "shape.json"

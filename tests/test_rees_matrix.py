@@ -1,10 +1,11 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 import support
-from maxsemi import errors
+from maxsemi import errors, rees_matrix
 from maxsemi.graphs import connected_components
 from maxsemi.oracle import brute_force_maximal
 from maxsemi.perm_group import Permutation, cycle_string, identity, parse_cycles
@@ -253,9 +254,35 @@ class TestR6:
 
     def test_transversal_choice_invariance(self, s4_rzms):
         plain = {r.element_set for r in max_r6(s4_rzms)}
-        flipped = {r.element_set
-                   for r in max_r6(s4_rzms, _reverse_transversals=True)}
+        with support.reversed_transversals():
+            flipped = {r.element_set for r in max_r6(s4_rzms)}
         assert plain == flipped
+
+    def test_reversed_transversals_differ(self, s4_rzms):
+        # the invariance tests above see another transversal for every class
+        group = s4_rzms.group
+        default = rees_matrix.maximal_subgroup_classes(group)
+        with support.reversed_transversals():
+            flipped = rees_matrix.maximal_subgroup_classes(group)
+            flipped_v = [rees_matrix.right_coset_reps(group, c.representative)
+                         for c in default]
+        assert len(default) == len(flipped) == 3
+        for c, f, v_reps in zip(default, flipped, flipped_v):
+            assert f.representative == c.representative
+            assert f.normalizer_coset_reps != c.normalizer_coset_reps
+            assert v_reps != rees_matrix.right_coset_reps(group, c.representative)
+
+    def test_required_subset_orientation(self):
+        # the (k, l) block test is t_k g t_l^-1 in V, not t_l g t_k^-1:
+        # over three components, filtering must equal post-filtering
+        rz = brandt(support.symmetric_group(3), 3)
+        unfiltered = [r.element_set for r in max_r6(rz)]
+        nonzero = [x for x in rz.elements() if x != ZERO]
+        rng = random.Random(31)
+        for _ in range(20):
+            want = set(rng.sample(nonzero, 2))
+            got = {r.element_set for r in max_r6(rz, required_subset=want)}
+            assert got == {s for s in unfiltered if want <= s}
 
     def test_required_subset_filter(self):
         b = brandt(C2, 2)
