@@ -11,11 +11,8 @@ from .perm_group import (
     MaximalSubgroupClass,
     PermGroup,
     Permutation,
-    all_subgroups,
-    conjugate_subgroup,
     cycle_string,
     generate_group,
-    is_subgroup,
     maximal_subgroup_classes,
     normalizer,
     parse_cycles,
@@ -29,7 +26,6 @@ from .graphs import (
     digraph,
     graph,
     maximal_independent_sets,
-    reachable_set,
     sources,
     strongly_connected_condensation,
     to_dot,

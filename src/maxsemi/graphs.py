@@ -193,24 +193,6 @@ def sources(cd: CondensedDigraph, kept: Optional[Iterable[int]] = None) -> list[
     return [k for k in sorted(kept) if k not in has_in]
 
 
-def reachable_set(cd: CondensedDigraph, start: int) -> frozenset:
-    """Components reachable from ``start`` by a possibly empty path."""
-    if not 0 <= start < cd.component_count:
-        raise InputError(f"no component {start}")
-    succ: dict[int, list[int]] = {}
-    for a, b in cd.edges:
-        succ.setdefault(a, []).append(b)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in succ.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 # ---------------------------------------------------------------------------
 # Maximal independent sets
 

@@ -31,7 +31,7 @@ from .graphs import (
     sources,
     strongly_connected_condensation,
 )
-from .perm_group import _check_lattice_order
+from .perm_group import _check_search_order
 from .rees_matrix import RzmsMaxSubsemigroup, ZERO, max_r6, max_subsemigroups_rzms
 from .semigroup_core import (
     FiniteSemigroup,
@@ -405,10 +405,10 @@ def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
 
 
 def _check_group_order(gs, j) -> None:
-    """Both branches below reach max_r6, whose subgroup lattice of the
-    group H-class of J has a capacity bound; check it before the principal
+    """Both branches below reach max_r6, whose maximal subgroup search has a
+    capacity bound on the group H-class of J; check it before the principal
     factor is built.  Every H-class of a regular J-class has that order."""
-    _check_lattice_order(len(gs.h_classes[gs.h_class[gs.j_classes[j][0]]]))
+    _check_search_order(len(gs.h_classes[gs.h_class[gs.j_classes[j][0]]]))
 
 
 def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:

@@ -94,22 +94,6 @@ def _generates(times, members, x: int, generating: set) -> bool:
     return True
 
 
-def _closure_plain(sg: FiniteSemigroup, seed) -> set:
-    members = set(seed)
-    queue = list(members)
-    while queue:
-        frontier = []
-        snapshot = list(members)
-        for a in queue:
-            for b in snapshot:
-                for c in (sg.product(a, b), sg.product(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        frontier.append(c)
-        queue = frontier
-    return members
-
-
 def verify_maximal(sg: FiniteSemigroup, candidate: Iterable[int]):
     """(ok, diagnostic): ``candidate`` must be closed, proper, and such
     that adjoining any missing element generates the whole semigroup.

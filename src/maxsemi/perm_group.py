@@ -1,17 +1,18 @@
 """Desk-scale permutation group kernel.
 
-Groups are stored as explicit sorted element lists.  The subgroup lattice
-is found by closing the set of cyclic subgroups under pairwise joins,
-which is complete for any finite group (every subgroup is a join of the
-cyclic subgroups it contains).  Nothing here is meant to scale past a few
-hundred elements; ``SUBGROUP_ORDER_BOUND`` guards the lattice routines.
+Groups are stored as explicit sorted element lists.  ``Permutation`` is
+the input and output form; the subgroup work runs on integers: element k
+of a group is its position in ``elements``, products come from the
+group's multiplication table, and a subgroup is a bitmask over positions.
+The maximal subgroups are found one conjugacy class at a time by cyclic
+extension (Neubuser 1960), not from the whole subgroup lattice.
+``SUBGROUP_ORDER_BOUND`` guards the search.
 
 ``_close_elements`` stays apart from ``semigroup_core.closure``, although
-a subgroup is the semigroup closure of the identity and its generators:
+a group is the semigroup closure of the identity and its generators:
 ``semigroup_core`` imports this module, so the kernel cannot call up into
 it, and ``closure`` also records the right Cayley graph, which no group
-routine reads.  Through ``closure``, ``all_subgroups`` of A5 (2 396
-closures) finds the same subgroups about 10 % more slowly.
+routine reads.
 """
 
 from __future__ import annotations
@@ -156,8 +157,11 @@ class PermGroup:
         index = {g: k for k, g in enumerate(self.elements)}
         return index, [[index[a * b] for b in self.elements] for a in self.elements]
 
-    def identity(self) -> Permutation:
-        return identity(self.degree)
+    @cached_property
+    def inv_table(self) -> list[int]:
+        """``inv_table[a]`` is the position of the inverse of
+        ``elements[a]``; the identity is at position 0."""
+        return [row.index(0) for row in self.mul_table[1]]
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.element_set
@@ -195,114 +199,124 @@ def generate_group(degree: int, gens: Sequence[Permutation]) -> PermGroup:
     return PermGroup(degree, gens, tuple(sorted(elements)))
 
 
-def _small_generating_set(degree: int, elements: frozenset) -> tuple[Permutation, ...]:
-    gens: list[Permutation] = []
-    have = frozenset({identity(degree)})
-    for p in sorted(elements):
-        if p not in have:
-            gens.append(p)
-            have = _close_elements(gens, degree)
-            if len(have) == len(elements):
-                break
-    return tuple(gens)
-
-
-def _group_from_elements(degree: int, elements: frozenset) -> PermGroup:
-    return PermGroup(degree, _small_generating_set(degree, elements), tuple(sorted(elements)))
-
-
-def is_subgroup(sub: Iterable[Permutation], group: PermGroup) -> bool:
-    """True iff ``sub`` is a subset of ``group`` containing the identity
-    and closed under composition (inverses follow by finiteness)."""
-    elems = set(sub)
-    if not elems or identity(group.degree) not in elems:
-        return False
-    if not elems <= group.element_set:
-        return False
-    return all(a * b in elems for a in elems for b in elems)
-
-
-def _check_lattice_order(order: int) -> None:
-    """The capacity check of ``all_subgroups``, for callers that can make
-    it before building the group."""
+def _check_search_order(order: int) -> None:
+    """The capacity check of ``maximal_subgroup_classes``, for callers that
+    can make it before building the group."""
     if order > SUBGROUP_ORDER_BOUND:
-        raise CapacityError(
-            f"subgroup lattice supported only up to order {SUBGROUP_ORDER_BOUND}, "
-            f"got {order}",
-            bound=SUBGROUP_ORDER_BOUND,
-        )
+        raise CapacityError(f"maximal subgroup search supported only up to group order "
+                            f"{SUBGROUP_ORDER_BOUND}, got {order}", bound=SUBGROUP_ORDER_BOUND)
 
 
-def all_subgroups(group: PermGroup) -> list[PermGroup]:
-    """Every subgroup of ``group``, each exactly once.
+# ---------------------------------------------------------------------------
+# The integer kernel.  Element k of a group is ``elements[k]``, so index
+# order is Permutation order and the identity is 0.  A subgroup is its
+# ascending member list, or the int with bit k set for each member k.
 
-    Seeds with the cyclic subgroups and repeatedly joins pairs until no
-    new subgroup appears.  Sorted by (order, element list).
+def _bits(members: Iterable[int]) -> int:
+    return sum(1 << k for k in members)  # members are distinct
+
+
+def _members(mask: int) -> list[int]:
+    return [k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def _join(mul: list, sub: list[int], mask: int, x: int) -> tuple[int, list[int]]:
+    """(bits, members) of <H, x>, for H with members ``sub`` and bits ``mask``.
+
+    Dimino's method: <H, x> is a union of right cosets H r.  Each coset
+    representative r, from r = 1 on, is followed by r s for s in H and
+    s = x; a product outside the cosets found so far starts a new coset.
     """
-    _check_lattice_order(group.order)
-    degree = group.degree
-    cyclic = {_close_elements([g], degree) for g in group.elements}
-    subs = set(cyclic)
-    work = list(cyclic)
-    while work:
-        fresh = []
-        current = list(subs)
-        for a in work:
-            for b in current:
-                if a <= b or b <= a:
-                    continue
-                joined = _close_elements(a | b, degree)
-                if joined not in subs:
-                    subs.add(joined)
-                    fresh.append(joined)
-        work = fresh
-    ordered = sorted(subs, key=lambda s: (len(s), sorted(s)))
-    return [_group_from_elements(degree, s) for s in ordered]
+    members, reps, steps = list(sub), [0], sub + [x]
+    for r in reps:
+        row = mul[r]
+        for s in steps:
+            y = row[s]
+            if not mask >> y & 1:
+                coset = [mul[h][y] for h in sub]
+                members += coset
+                mask |= _bits(coset)
+                reps.append(y)
+    return mask, members
+
+
+def _small_generating_set(group: PermGroup, members: Sequence[int]) -> list[int]:
+    """Each member, in order, that the members picked before it do not generate."""
+    _, mul = group.mul_table
+    gens, have, reached = [], 1, [0]
+    for p in members:
+        if len(reached) == len(members):
+            break
+        if not have >> p & 1:
+            gens.append(p)
+            have, reached = _join(mul, reached, have, p)
+    return gens
+
+
+def _conjugates(group: PermGroup, sub: list[int]) -> list[int]:
+    """Bits of g^-1 H g for each g in ``group``, in element order."""
+    _, mul = group.mul_table
+    inv = group.inv_table
+    return [_bits(mul[mul[inv[g]][v]][g] for v in sub) for g in range(group.order)]
+
+
+def _normalizer(group: PermGroup, sub: list[int]) -> list[int]:
+    mask = _bits(sub)
+    return [g for g, c in enumerate(_conjugates(group, sub)) if c == mask]
+
+
+def _right_transversal(group: PermGroup, sub: list[int], scan: Iterable[int]) -> list[int]:
+    """The first element met in ``scan`` of each right coset H g."""
+    _, mul = group.mul_table
+    covered, reps = 0, []
+    for g in scan:
+        if not covered >> g & 1:
+            reps.append(g)
+            covered |= _bits(mul[v][g] for v in sub)
+    return reps
+
+
+def _subgroup(group: PermGroup, members: Sequence[int]) -> PermGroup:
+    e = group.elements
+    return PermGroup(group.degree, tuple(e[k] for k in _small_generating_set(group, members)),
+                     tuple(e[k] for k in members))
+
+
+def _group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
+    """The group on ``elements``, a set closed under composition."""
+    bare = PermGroup(degree, (), tuple(sorted(elements)))
+    group = _subgroup(bare, range(bare.order))
+    group.__dict__["mul_table"] = bare.mul_table  # same elements, same table
+    return group
+
+
+def _positions(group: PermGroup, sub: PermGroup, caller: str) -> list[int]:
+    if not sub.element_set <= group.element_set:
+        raise InputError(f"{caller}: V is not a subgroup of G")
+    return sorted(group.mul_table[0][p] for p in sub.elements)
 
 
 def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
     """N_G(V) = {g in G : g^-1 V g = V}."""
-    if not sub.element_set <= group.element_set:
-        raise InputError("normalizer: V is not a subgroup of G")
-    target = sub.element_set
-    members = frozenset(
-        g for g in group.elements
-        if frozenset(g.inverse() * v * g for v in target) == target
-    )
-    return _group_from_elements(group.degree, members)
+    return _subgroup(group, _normalizer(group, _positions(group, sub, "normalizer")))
 
 
-def right_coset_reps(
-    group: PermGroup,
-    sub: PermGroup,
-    candidates: Optional[Sequence[Permutation]] = None,
-) -> tuple[Permutation, ...]:
+def right_coset_reps(group: PermGroup, sub: PermGroup,
+                     candidates: Optional[Sequence[Permutation]] = None,
+                     ) -> tuple[Permutation, ...]:
     """One representative per right coset V*g of ``sub`` in ``group``.
 
     With the default candidate order the first representative is the
     identity.  ``candidates`` may reorder the scan to select a different
     transversal; downstream results must not depend on the choice.
     """
-    if not sub.element_set <= group.element_set:
-        raise InputError("right_coset_reps: V is not a subgroup of G")
-    scan = group.elements if candidates is None else tuple(candidates)
-    covered: set[Permutation] = set()
-    reps = []
-    for g in scan:
-        if g not in covered:
-            reps.append(g)
-            covered.update(v * g for v in sub.elements)
-    if len(covered) != group.order:
+    members = _positions(group, sub, "right_coset_reps")
+    index, _ = group.mul_table
+    scan = range(group.order) if candidates is None else [index[g] for g in candidates]
+    reps = _right_transversal(group, members, scan)
+    if len(reps) * len(members) != group.order:
         raise InputError("right_coset_reps: candidate sequence does not cover the group")
-    return tuple(reps)
-
-
-def conjugate_subgroup(sub: PermGroup, g: Permutation) -> PermGroup:
-    """g^-1 V g, with generators conjugated alongside the elements."""
-    ginv = g.inverse()
-    elements = tuple(sorted(ginv * v * g for v in sub.elements))
-    gens = tuple(ginv * v * g for v in sub.generators)
-    return PermGroup(sub.degree, gens, elements)
+    return tuple(group.elements[g] for g in reps)
 
 
 @dataclass(frozen=True)
@@ -319,27 +333,40 @@ class MaximalSubgroupClass:
 
 
 def maximal_subgroup_classes(group: PermGroup) -> list[MaximalSubgroupClass]:
-    """Conjugacy class representatives of the maximal subgroups of ``group``.
+    """Conjugacy class representatives of the maximal subgroups of ``group``,
+    each the member of its class with the least element list.  Ordered by
+    descending order, then element list.  The trivial group has none.
 
-    Ordered by descending order of the representative, then element list.
-    The trivial group has no maximal subgroups.
+    Cyclic extension up to conjugacy: the least member H of each class of
+    subgroups met, from the trivial group on, is extended to <H, x> by one
+    x from each right coset H x other than H.  Every subgroup K > 1 is
+    <H, x> for any H maximal in K and x in K \\ H, so every class is met.
+    H is maximal in G iff every such <H, x> is G.
     """
-    subs = all_subgroups(group)
-    proper = [h for h in subs if h.order < group.order]
-    proper_sets = [h.element_set for h in proper]
-    maximal = [
-        h for h in proper
-        if not any(h.element_set < other for other in proper_sets if other != h.element_set)
-    ]
-    maximal.sort(key=lambda h: (-h.order, h.elements))
+    _check_search_order(group.order)
+    _, mul = group.mul_table
+    n = group.order
+    whole = (1 << n) - 1
+    known, work, maximal = {1}, [1], []  # known: every member of every class met
+    while work:
+        rep = work.pop()
+        sub = _members(rep)
+        covered, is_maximal = rep, rep != whole
+        for x in range(n):
+            if not covered >> x & 1:
+                covered |= _bits(mul[h][x] for h in sub)
+                joined, members = _join(mul, sub, rep, x)
+                is_maximal = is_maximal and joined == whole
+                if joined not in known:
+                    conjugates = set(_conjugates(group, members))
+                    known |= conjugates
+                    work.append(min(conjugates, key=_members))
+        if is_maximal:
+            maximal.append(sub)
     classes = []
-    assigned: set[frozenset] = set()
-    for rep in maximal:
-        if rep.element_set in assigned:
-            continue
-        norm = normalizer(group, rep)
-        reps = right_coset_reps(group, norm)
-        for t in reps:
-            assigned.add(conjugate_subgroup(rep, t).element_set)
-        classes.append(MaximalSubgroupClass(rep, norm, reps))
+    for sub in sorted(maximal, key=lambda sub: (-len(sub), sub)):
+        norm = _normalizer(group, sub)
+        reps = _right_transversal(group, norm, range(n))
+        classes.append(MaximalSubgroupClass(_subgroup(group, sub), _subgroup(group, norm),
+                                            tuple(group.elements[t] for t in reps)))
     return classes

@@ -14,13 +14,14 @@ subsemigroup of a finite regular Rees 0-matrix semigroup over a group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InputError
 from .graphs import Graph, adjacency, connected_components, graph, maximal_independent_sets
 from .perm_group import (
     PermGroup,
-    _check_lattice_order,
+    _check_search_order,
     Permutation,
     generate_group,
     identity,
@@ -153,7 +154,18 @@ class NormalizationData:
         if x == ZERO:
             return ZERO
         i, g, lam = x
-        return (i, self.col_scale[i].inverse() * g * self.row_scale[lam].inverse(), lam)
+        return (i, self.backward_table[i][lam][self.original.group.mul_table[0][g]], lam)
+
+    @cached_property
+    def backward_table(self) -> list:
+        """``backward_table[i][lam][g]`` is u_i^-1 h v_lam^-1 for h the
+        group element at position g: the group part of backward()."""
+        group = self.original.group
+        index, mul = group.mul_table
+        inv = group.inv_table
+        vinv = [inv[index[v]] for v in self.row_scale]
+        return [[[group.elements[mul[row[g]][vl]] for g in range(group.order)] for vl in vinv]
+                for row in (mul[inv[index[u]]] for u in self.col_scale)]
 
 
 def normalize(rzms: ReesZeroMatrixSemigroup) -> NormalizationData:
@@ -245,8 +257,6 @@ def _verify_iso(data: NormalizationData) -> None:
     dst_p = [[None if e is None else g_index[e] for e in row] for row in dst.matrix]
     ucol = [g_index[p] for p in data.col_scale]
     vrow = [g_index[p] for p in data.row_scale]
-    uinv = [g_index[p.inverse()] for p in data.col_scale]
-    vinv = [g_index[p.inverse()] for p in data.row_scale]
 
     def fwd(i, kg, lam):
         return (i, mul[mul[ucol[i]][kg]][vrow[lam]], lam)
@@ -257,10 +267,9 @@ def _verify_iso(data: NormalizationData) -> None:
         for kg in range(src.group.order)
         for lam in range(src.num_rows)
     ]
+    back = data.backward_table  # the inverse the R6 search maps results through
     for (i, kg, lam) in triples:
-        fi, fkg, flam = fwd(i, kg, lam)
-        back = mul[mul[uinv[i]][fkg]][vinv[lam]]
-        if back != kg:
+        if back[i][lam][fwd(i, kg, lam)[1]] != src.group.elements[kg]:
             raise AssertionError("normalization iso is not a bijection")
     for (i, kg, lam) in triples:
         for (k, kh, mu) in triples:
@@ -371,10 +380,11 @@ def max_r5(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
     return out
 
 
-def _assemble_tuples(candidate_lists, checks, v_set):
+def _assemble_tuples(candidate_lists, checks, in_v, mul, inv):
     """Backtracking product of the per-component candidate lists.  A test
     (a, b, g) in ``checks[k]`` has max(a, b) = k, so both coordinates are
-    set once t_k is chosen; it requires t_a g t_b^-1 in V."""
+    set once t_k is chosen; it requires t_a g t_b^-1 in V.  Group elements
+    are positions in the group and ``in_v`` is the set of V's."""
     n = len(candidate_lists)
     results = []
     chosen = [None] * n
@@ -385,7 +395,7 @@ def _assemble_tuples(candidate_lists, checks, v_set):
             return
         for t in candidate_lists[k]:
             chosen[k] = t
-            if all(chosen[a] * g * chosen[b].inverse() in v_set for a, b, g in checks[k]):
+            if all(mul[mul[chosen[a]][g]][inv[chosen[b]]] in in_v for a, b, g in checks[k]):
                 extend(k + 1)
 
     extend(0)
@@ -405,11 +415,15 @@ def max_r6(
     element set contains it are produced; the containment test uses the
     block description I_k x t_k^-1 V t_l x Lambda_l directly.
     """
-    _check_lattice_order(rzms.group.order)  # before normalize builds anything
+    _check_search_order(rzms.group.order)  # before normalize builds anything
     data = normalize(rzms)
+    group = rzms.group
+    index, mul = group.mul_table
+    inv = group.inv_table
     comps = data.components
     comp_of_i = {i: k for k, comp in enumerate(comps) for i in comp.i_indices}
     comp_of_lam = {lam: k for k, comp in enumerate(comps) for lam in comp.lam_indices}
+    comp_gens = [[index[g] for g in comp.subgroup.generators] for comp in comps]
 
     # h lies in the (k, l) block of the subsemigroup iff t_k h t_l^-1 in V;
     # checks[k] holds the tests whose larger block index is k
@@ -418,66 +432,65 @@ def max_r6(
         if x != ZERO:
             i, g, lam = data.forward(x)
             k, l = comp_of_i[i], comp_of_lam[lam]
-            checks[max(k, l)].append((k, l, g))
+            checks[max(k, l)].append((k, l, index[g]))
 
     out = []
-    for cls in maximal_subgroup_classes(rzms.group):
-        v_set = cls.representative.element_set
-        v_reps = right_coset_reps(rzms.group, cls.representative)
+    for cls in maximal_subgroup_classes(group):
+        v = [index[p] for p in cls.representative.elements]
+        in_v = set(v)
+        t1_reps = [index[t] for t in cls.normalizer_coset_reps]
+        v_reps = [index[t] for t in right_coset_reps(group, cls.representative)]
         # G_k <= t^-1 V t iff t g t^-1 in V for every generator g of G_k
         candidate_lists = [
-            [t for t in (cls.normalizer_coset_reps if k == 0 else v_reps)
-             if all(t * g * t.inverse() in v_set for g in comp.subgroup.generators)]
-            for k, comp in enumerate(comps)
+            [t for t in (t1_reps if k == 0 else v_reps)
+             if all(mul[mul[t][g]][inv[t]] in in_v for g in gens)]
+            for k, gens in enumerate(comp_gens)
         ]
         if any(not lst for lst in candidate_lists):
             continue
-        for ts in _assemble_tuples(candidate_lists, checks, v_set):
-            out.append(_build_r6(data, cls, ts))
+        for ts in _assemble_tuples(candidate_lists, checks, in_v, mul, inv):
+            out.append(_build_r6(data, cls, v, ts))
     return out
 
 
-def _lemma_generators(data: NormalizationData, v_elements, ts) -> list:
+def _lemma_generators(data: NormalizationData, v, ts) -> list:
     """The generating set of the R6 lemma, pulled back from the normalized
     form: the zero and the idempotents, the anchor block t_1^-1 V t_1 of
     the first component, and for each later component k the two crossings
-    t_1^-1 t_k and t_k^-1 t_1 between its anchor and the first one."""
-    normd = data.normalized
+    t_1^-1 t_k and t_k^-1 t_1 between its anchor and the first one.  ``v``
+    and ``ts`` are positions in the group."""
+    index, mul = data.original.group.mul_table
+    inv = data.original.group.inv_table
     comps = data.components
-    gens = [ZERO] + [
-        (i, p.inverse(), lam)
-        for lam, row in enumerate(normd.matrix)
-        for i, p in enumerate(row)
-        if p is not None
-    ]
+    gens = [(i, inv[index[p]], lam) for lam, row in enumerate(data.normalized.matrix)
+            for i, p in enumerate(row) if p is not None]
     i1, lam1 = comps[0].anchor_i, comps[0].anchor_lam
-    t1_inv = ts[0].inverse()
-    gens.extend((i1, t1_inv * v * ts[0], lam1) for v in v_elements)
+    t1, t1_inv = ts[0], mul[inv[ts[0]]]
+    gens.extend((i1, mul[t1_inv[x]][t1], lam1) for x in v)
     for k in range(1, len(comps)):
-        gens.append((i1, t1_inv * ts[k], comps[k].anchor_lam))
-        gens.append((comps[k].anchor_i, ts[k].inverse() * ts[0], lam1))
-    return [data.backward(x) for x in gens]
+        gens.append((i1, t1_inv[ts[k]], comps[k].anchor_lam))
+        gens.append((comps[k].anchor_i, mul[inv[ts[k]]][t1], lam1))
+    back = data.backward_table
+    return [ZERO] + [(i, back[i][lam][g], lam) for i, g, lam in gens]
 
 
-def _build_r6(data, cls, ts) -> RzmsMaxSubsemigroup:
-    comps = data.components
-    v_elements = cls.representative.elements
-
+def _build_r6(data, cls, v, ts) -> RzmsMaxSubsemigroup:
+    group = data.original.group
+    _, mul = group.mul_table
+    back = data.backward_table
     element_set = {ZERO}
-    for k, ck in enumerate(comps):
-        for l, cl in enumerate(comps):
-            tk_inv = ts[k].inverse()
-            middle = [tk_inv * v * ts[l] for v in v_elements]
+    for k, ck in enumerate(data.components):
+        tk_inv = mul[group.inv_table[ts[k]]]
+        for l, cl in enumerate(data.components):
+            middle = [mul[tk_inv[x]][ts[l]] for x in v]
             for i in ck.i_indices:
                 for lam in cl.lam_indices:
-                    for g in middle:
-                        element_set.add(data.backward((i, g, lam)))
+                    perms = back[i][lam]
+                    element_set.update((i, perms[g], lam) for g in middle)
 
-    witness = (
-        tuple(p.images for p in cls.representative.generators),
-        tuple(t.images for t in ts),
-    )
-    generators = tuple(_lemma_generators(data, v_elements, ts))
+    witness = (tuple(p.images for p in cls.representative.generators),
+               tuple(group.elements[t].images for t in ts))
+    generators = tuple(_lemma_generators(data, v, ts))
     return RzmsMaxSubsemigroup("R6", witness, generators, frozenset(element_set))
 
 
@@ -502,6 +515,5 @@ def generating_set(rzms: ReesZeroMatrixSemigroup) -> list:
     """A compact verified generating set for R as a semigroup: the V = G,
     t = 1 case of the R6 generating-set lemma, without repeats."""
     data = normalize(rzms)
-    one = identity(rzms.group.degree)
     return list(dict.fromkeys(
-        _lemma_generators(data, rzms.group.elements, [one] * len(data.components))))
+        _lemma_generators(data, range(rzms.group.order), [0] * len(data.components))))

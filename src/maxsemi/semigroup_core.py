@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
 from .graphs import Digraph, _tarjan_sccs, digraph
-from .perm_group import PermGroup, Permutation, _small_generating_set
+from .perm_group import Permutation, _group_from_elements
 from .rees_matrix import ReesZeroMatrixSemigroup, generating_set
 
 CLOSURE_BOUND = 100_000
@@ -487,8 +487,7 @@ def group_h_class_as_permgroup(sg: FiniteSemigroup, h_class: Sequence[int]):
     perms = frozenset(to_perm.values())
     if len(perms) != len(members):
         raise InputError("right-regular action is not faithful; not a group H-class")
-    group = PermGroup(
-        len(members), _small_generating_set(len(members), perms), tuple(sorted(perms)))
+    group = _group_from_elements(len(members), perms)
     from_perm = {p: h for h, p in to_perm.items()}
     return group, to_perm, from_perm
 

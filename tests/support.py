@@ -12,8 +12,10 @@ from maxsemi import rees_matrix
 from maxsemi.errors import CapacityError, InputError
 from maxsemi.perm_group import (
     MaximalSubgroupClass,
+    PermGroup,
     Permutation,
     generate_group,
+    identity,
     maximal_subgroup_classes,
     parse_cycles,
     right_coset_reps,
@@ -89,6 +91,136 @@ def w_named_classes(sg, gs):
         "R_x7x3": gs.r_class[prod(x[7], x[3])],
     }
     return x, names
+
+
+# ---------------------------------------------------------------------------
+# Reference subgroup lattice: every subgroup, found by closing the cyclic
+# subgroups under pairwise joins, held as frozensets of Permutation.  Slow
+# (A5 takes about 2 400 closures, S5 well over a minute) but independent
+# of the integer kernel that maximal_subgroup_classes runs on.
+
+def _reference_group(degree, elements):
+    """The group on ``elements``, generated greedily in element order."""
+    gens = []
+    have = frozenset({identity(degree)})
+    for p in sorted(elements):
+        if p not in have:
+            gens.append(p)
+            have = generate_group(degree, gens).element_set
+            if len(have) == len(elements):
+                break
+    return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
+
+
+def is_subgroup(sub, group):
+    """True iff ``sub`` is a subset of ``group`` containing the identity
+    and closed under composition (inverses follow by finiteness)."""
+    elems = set(sub)
+    if not elems or identity(group.degree) not in elems:
+        return False
+    if not elems <= group.element_set:
+        return False
+    return all(a * b in elems for a in elems for b in elems)
+
+
+def all_subgroups(group):
+    """Every subgroup of ``group``, each exactly once, sorted by (order,
+    element list): the cyclic subgroups, joined in pairs until no new
+    subgroup appears."""
+    degree = group.degree
+    cyclic = {generate_group(degree, [g]).element_set for g in group.elements}
+    subs = set(cyclic)
+    work = list(cyclic)
+    while work:
+        fresh = []
+        current = list(subs)
+        for a in work:
+            for b in current:
+                if a <= b or b <= a:
+                    continue
+                joined = generate_group(degree, list(a | b)).element_set
+                if joined not in subs:
+                    subs.add(joined)
+                    fresh.append(joined)
+        work = fresh
+    ordered = sorted(subs, key=lambda s: (len(s), sorted(s)))
+    return [_reference_group(degree, s) for s in ordered]
+
+
+def conjugate_subgroup(sub, g):
+    """g^-1 V g, with generators conjugated alongside the elements."""
+    ginv = g.inverse()
+    elements = tuple(sorted(ginv * v * g for v in sub.elements))
+    gens = tuple(ginv * v * g for v in sub.generators)
+    return PermGroup(sub.degree, gens, elements)
+
+
+def reference_maximal_subgroup_classes(group):
+    """maximal_subgroup_classes from the whole lattice: the maximal
+    subgroups by containment, each class represented by its least member
+    in (descending order, element list) order, with the normaliser and a
+    right transversal of it scanned in element order."""
+    proper = [h for h in all_subgroups(group) if h.order < group.order]
+    maximal = [h for h in proper
+               if not any(h.element_set < w.element_set for w in proper)]
+    maximal.sort(key=lambda h: (-h.order, h.elements))
+    classes = []
+    assigned = set()
+    for rep in maximal:
+        if rep.element_set in assigned:
+            continue
+        norm = _reference_group(group.degree, [
+            g for g in group.elements
+            if {g.inverse() * v * g for v in rep.elements} == rep.element_set])
+        reps, covered = [], set()
+        for g in group.elements:
+            if g not in covered:
+                reps.append(g)
+                covered.update(v * g for v in norm.elements)
+        for t in reps:
+            assigned.add(conjugate_subgroup(rep, t).element_set)
+        classes.append(MaximalSubgroupClass(rep, norm, tuple(reps)))
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# References the library itself does not need
+
+def reachable_set(cd, start):
+    """Components reachable from ``start`` by a possibly empty path."""
+    if not 0 <= start < cd.component_count:
+        raise InputError(f"no component {start}")
+    succ: dict[int, list[int]] = {}
+    for a, b in cd.edges:
+        succ.setdefault(a, []).append(b)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in succ.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def closure_plain(sg, seed):
+    """The subsemigroup generated by ``seed`` (indices): every product of
+    two members, both ways round, until nothing new appears.  Independent
+    of the right-only walk in semigroup_core."""
+    members = set(seed)
+    queue = list(members)
+    while queue:
+        frontier = []
+        snapshot = list(members)
+        for a in queue:
+            for b in snapshot:
+                for c in (sg.product(a, b), sg.product(b, a)):
+                    if c not in members:
+                        members.add(c)
+                        frontier.append(c)
+        queue = frontier
+    return members
 
 
 def monogenic(index, period):

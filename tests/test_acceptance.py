@@ -17,7 +17,6 @@ from maxsemi.graphs import (
     digraph,
     graph,
     maximal_independent_sets,
-    reachable_set,
     strongly_connected_condensation,
 )
 from maxsemi.max_subsemigroups import build_jclass_graphs, max_subsemigroups
@@ -268,7 +267,7 @@ def test_criterion_7_graph_layer_oracles():
                 if reach[v] >> k & 1:
                     reach[v] |= reach[k]
         for u in range(n):
-            comps = reachable_set(cd, cd.component_of[u])
+            comps = support.reachable_set(cd, cd.component_of[u])
             for v in range(n):
                 ok &= (reach[u] >> v & 1) == (cd.component_of[v] in comps)
     elapsed = time.perf_counter() - started

@@ -9,11 +9,11 @@ from maxsemi.graphs import (
     digraph,
     graph,
     maximal_independent_sets,
-    reachable_set,
     sources,
     strongly_connected_condensation,
     to_dot,
 )
+from support import reachable_set
 
 
 def brute_force_mis(g):

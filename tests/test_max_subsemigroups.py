@@ -64,8 +64,6 @@ class TestWExample:
         assert coloured_r == {frozenset({names["R_x3"], names["R_x7x3"]})}
 
     def test_sources_and_reachability(self, w_semigroup, w_greens):
-        from maxsemi.graphs import reachable_set
-
         sg, gs = w_semigroup, w_greens
         _, names = support.w_named_classes(sg, gs)
         j = gs.j_class[sg.generator_indices[0]]
@@ -87,7 +85,7 @@ class TestWExample:
         # from {L_x4} one reaches {L_x1} and {L_x1x6}
         start = next(k for k in range(jg.gamma_l.component_count)
                      if l_comp_names(k) == frozenset({names["L_x4"]}))
-        reached = {l_comp_names(k) for k in reachable_set(jg.gamma_l, start)}
+        reached = {l_comp_names(k) for k in support.reachable_set(jg.gamma_l, start)}
         assert reached == {
             frozenset({names["L_x4"]}), frozenset({names["L_x1"]}),
             frozenset({names["L_x1x6"]})}
@@ -415,7 +413,7 @@ class TestDispatch:
 
         from maxsemi.errors import CapacityError
 
-        sg = support.monogenic(1, 401)  # cyclic group above the lattice bound
+        sg = support.monogenic(1, 401)  # cyclic group above the subgroup search bound
         with pytest.raises(CapacityError, match="J-class 0"):
             max_subsemigroups(sg)
 

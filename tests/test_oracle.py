@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from maxsemi import errors, oracle
 from maxsemi.max_subsemigroups import max_subsemigroups
-from maxsemi.oracle import (SUBSET_ENUMERATION_BOUND, _closure_plain,
-                            brute_force_maximal, verify_maximal)
+from maxsemi.oracle import SUBSET_ENUMERATION_BOUND, brute_force_maximal, verify_maximal
 from maxsemi.semigroup_core import (Transformation, closure, from_table,
                                     greens_structure, semigroup_from_rzms)
 
@@ -132,7 +131,7 @@ def reference_verdict(sg, candidate):
     if len(member_set) == n:
         return False, "not proper: candidate is the whole semigroup"
     for x in range(n):
-        if x not in member_set and len(_closure_plain(sg, members + [x])) < n:
+        if x not in member_set and len(support.closure_plain(sg, members + [x])) < n:
             return False, f"not maximal: adjoining {x} does not generate everything"
     return True, "ok"
 

@@ -6,16 +6,19 @@ import pytest
 from maxsemi import errors
 from maxsemi.perm_group import (
     Permutation,
-    all_subgroups,
-    conjugate_subgroup,
     cycle_string,
     generate_group,
     identity,
-    is_subgroup,
     maximal_subgroup_classes,
     normalizer,
     parse_cycles,
     right_coset_reps,
+)
+from support import (
+    all_subgroups,
+    conjugate_subgroup,
+    is_subgroup,
+    reference_maximal_subgroup_classes,
 )
 
 
@@ -40,6 +43,12 @@ def s4():
 def d8(s4):
     # dihedral of order 8 inside S4
     return generate_group(4, [parse_cycles("(1 2)", 4), parse_cycles("(1 3)(2 4)", 4)])
+
+
+def alt(n):
+    """A4 or A5, generated by 3-cycles (and a 5-cycle for A5)."""
+    last = "(1 2 3 4 5)" if n == 5 else "(2 3 4)"
+    return generate_group(n, [parse_cycles("(1 2 3)", n), parse_cycles(last, n)])
 
 
 def brute_force_subgroups(group):
@@ -132,7 +141,9 @@ class TestSubgroups:
         big = sym(6)
         assert big.order == 720
         with pytest.raises(errors.CapacityError, match="400"):
-            all_subgroups(big)
+            maximal_subgroup_classes(big)
+        # raised before the search built anything, even the group's table
+        assert "mul_table" not in vars(big)
 
     def test_lagrange(self, s4):
         subs = all_subgroups(s4)
@@ -177,6 +188,45 @@ class TestMaximalSubgroupClasses:
                 for g in s4.elements
             }
             assert conjs == everywhere
+
+
+class TestAgainstReference:
+    """The class-by-class search against the whole-lattice reference: the
+    same representatives with the same generators, normalisers and
+    transversals, so the R6 witnesses and documents do not move."""
+
+    @pytest.mark.parametrize("name", ["trivial", "C2", "C3", "S3", "A4", "D8", "S4", "A5"])
+    def test_equals_reference(self, name, s3, s4, d8):
+        group = {
+            "trivial": generate_group(3, []),
+            "C2": generate_group(2, [parse_cycles("(1 2)", 2)]),
+            "C3": generate_group(3, [parse_cycles("(1 2 3)", 3)]),
+            "S3": s3, "A4": alt(4), "D8": d8, "S4": s4, "A5": alt(5),
+        }[name]
+        assert maximal_subgroup_classes(group) == reference_maximal_subgroup_classes(group)
+
+    def test_every_subgroup_of_s4(self, s4):
+        for h in all_subgroups(s4):
+            assert maximal_subgroup_classes(h) == reference_maximal_subgroup_classes(h)
+
+    def test_s5_checked_by_sympy(self):
+        # the reference takes over a minute on S5, so check the classes
+        # from their definition, with sympy's Schreier-Sims orders
+        from sympy.combinatorics import Permutation as SympyPerm, PermutationGroup
+
+        s5 = sym(5)
+        classes = maximal_subgroup_classes(s5)
+        assert [c.representative.order for c in classes] == [60, 24, 20, 12]
+        for c in classes:
+            v = c.representative
+            gens = [SympyPerm(list(p.images)) for p in v.generators]
+            assert PermutationGroup(gens).order() == v.order
+            for x in s5.elements:
+                if x not in v:
+                    assert PermutationGroup(gens + [SympyPerm(list(x.images))]).order() == 120
+            conjugates = {conjugate_subgroup(v, g).elements for g in s5.elements}
+            assert min(conjugates) == v.elements
+            assert len(c.normalizer_coset_reps) == len(conjugates)
 
 
 class TestNormalizer:

@@ -3,11 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from maxsemi import errors, rees_matrix
 from maxsemi.graphs import connected_components
-from maxsemi.oracle import brute_force_maximal
+from maxsemi.oracle import SUBSET_ENUMERATION_BOUND, brute_force_maximal
 from maxsemi.perm_group import Permutation, cycle_string, identity, parse_cycles
 from maxsemi.rees_matrix import (
     ReesZeroMatrixSemigroup,
@@ -249,14 +250,29 @@ class TestR6:
             for r in got)
         assert by_order == {12: 2, 8: 9, 6: 16}
 
+    def test_brandt_s5_counts(self):
+        # S5 has four classes of maximal subgroups; per class, a transversal
+        # of N(V) for t_1 and of V for t_2, t_3 with trivial G_k gives
+        # [G:N(V)] * [G:V]^2 tuples: 2*2^2, 5*5^2, 6*6^2 and 10*10^2
+        got = max_subsemigroups_rzms(brandt(support.symmetric_group(5), 3))
+        assert Counter(r.type_tag for r in got) == {"R5": 6, "R6": 1345}
+        by_order = Counter(
+            len(closure_of_perms([Permutation(t) for t in r.witness[0]]))
+            for r in got if r.type_tag == "R6")
+        assert by_order == {60: 4, 24: 125, 20: 216, 12: 1000}
+
     def test_zero_free_2x2_none(self):
         assert max_r6(zero_free_2x2_c2()) == []
 
     def test_transversal_choice_invariance(self, s4_rzms):
-        plain = {r.element_set for r in max_r6(s4_rzms)}
+        plain_results = max_r6(s4_rzms)
         with support.reversed_transversals():
-            flipped = {r.element_set for r in max_r6(s4_rzms)}
+            flipped_results = max_r6(s4_rzms)
+        plain = {r.element_set for r in plain_results}
+        flipped = {r.element_set for r in flipped_results}
         assert plain == flipped
+        # the search read the patched transversals: its coset tuples moved
+        assert {r.witness for r in plain_results} != {r.witness for r in flipped_results}
 
     def test_reversed_transversals_differ(self, s4_rzms):
         # the invariance tests above see another transversal for every class
@@ -362,6 +378,40 @@ class TestFullSearch:
         got = {frozenset(sg.index(x) for x in r.element_set)
                for r in max_subsemigroups_rzms(b)}
         assert got == set(brute_force_maximal(sg).maximal)
+
+
+SMALL_GROUPS = [support.cyclic_group(1), support.cyclic_group(2),
+                support.cyclic_group(3), support.symmetric_group(3)]
+
+
+@st.composite
+def small_regular_rzms(draw):
+    """A regular Rees 0-matrix semigroup over C1, C2, C3 or S3 with at most
+    16 elements.  Entries are drawn as zero or a group element; a row or
+    column left all zero then gets one drawn non-zero entry."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    cap = (SUBSET_ENUMERATION_BOUND - 1) // group.order
+    rows = draw(st.integers(1, cap))
+    cols = draw(st.integers(1, cap // rows))
+    element = st.sampled_from(group.elements)
+    matrix = [[draw(st.one_of(st.none(), element)) for _ in range(cols)]
+              for _ in range(rows)]
+    for lam in range(rows):
+        if all(e is None for e in matrix[lam]):
+            matrix[lam][lam % cols] = draw(element)
+    for i in range(cols):
+        if all(row[i] is None for row in matrix):
+            matrix[i % rows][i] = draw(element)
+    return ReesZeroMatrixSemigroup(group, tuple(map(tuple, matrix)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(small_regular_rzms())
+def test_search_matches_brute_force(rzms):
+    sg = semigroup_from_rzms(rzms)
+    got = {frozenset(sg.index(x) for x in r.element_set)
+           for r in max_subsemigroups_rzms(rzms)}
+    assert got == set(brute_force_maximal(sg).maximal)
 
 
 class TestGeneratingSet:

@@ -413,12 +413,11 @@ class TestIdealBelowAndXPrime:
 
 
 class TestClosureWithIdeal:
-    # the reference is the oracle's two-sided closure, which stays
+    # the reference is support.closure_plain, a two-sided closure, which stays
     # independent of the right-only walk
     def test_matches_plain_closure(self, oracle_corpus):
         # splitting a two-sided ideal out of the generating set must give
         # exactly the subsemigroup the plain walk produces
-        from maxsemi.oracle import _closure_plain
         from maxsemi.semigroup_core import closure_with_ideal
 
         rng = random.Random(12)
@@ -428,29 +427,27 @@ class TestClosureWithIdeal:
                 ideal = ideal_below_generators(sg, gs, j)
                 extra = rng.sample(range(sg.size), rng.randint(1, sg.size))
                 got = closure_with_ideal(sg, frozenset(ideal), extra)
-                want = _closure_plain(sg, list(extra) + list(ideal))
+                want = support.closure_plain(sg, list(extra) + list(ideal))
                 assert got == want
 
     def test_empty_ideal(self, oracle_corpus):
-        from maxsemi.oracle import _closure_plain
         from maxsemi.semigroup_core import closure_with_ideal
 
         rng = random.Random(13)
         for _, sg in oracle_corpus:
             extra = rng.sample(range(sg.size), rng.randint(1, min(3, sg.size)))
-            want = _closure_plain(sg, extra)
+            want = support.closure_plain(sg, extra)
             assert closure_with_ideal(sg, frozenset(), extra) == want
             assert closure_of_indices(sg, extra) == want
 
     def test_span_at_or_above(self, oracle_corpus):
-        from maxsemi.oracle import _closure_plain
         from maxsemi.semigroup_core import span_at_or_above
 
         for _, sg in oracle_corpus:
             gs = greens_structure(sg)
             for j in range(len(gs.j_classes)):
                 for gens in (x_prime(sg, gs, j), sg.generator_indices):
-                    want = {e for e in _closure_plain(sg, gens)
+                    want = {e for e in support.closure_plain(sg, gens)
                             if j in gs.j_reach[gs.j_class[e]]}
                     assert span_at_or_above(sg, gs, j, gens) == want
 
