@@ -102,7 +102,7 @@ def _build_transformations(spec, max_size):
     return closure(gens, lambda a, b: a * b, max_size=max_size)
 
 
-def _build_cayley_table(spec):
+def _build_cayley_table(spec, max_size):
     table = spec.get("table")
     if not table or not isinstance(table, list):
         raise InputError("cayley_table input needs a non-empty 'table'")
@@ -111,17 +111,21 @@ def _build_cayley_table(spec):
     gens = spec.get("generators")
     if gens is not None and not _is_int_list(gens):
         raise InputError("cayley_table 'generators' must be a list of integers")
+    if len(table) > max_size:
+        raise CapacityError(
+            f"table has {len(table)} elements, over the bound {max_size}", bound=max_size)
     return from_table(table, gens)
 
 
-def _build_rzms(spec) -> ReesZeroMatrixSemigroup:
+def _build_rzms(spec, max_size) -> ReesZeroMatrixSemigroup:
     degree = spec.get("group_degree")
     if type(degree) is not int or degree < 1:
         raise InputError("rzms input needs a positive integer 'group_degree'")
     gen_texts = spec.get("group_generators", [])
     if not isinstance(gen_texts, list) or not all(isinstance(t, str) for t in gen_texts):
         raise InputError("rzms 'group_generators' must be a list of cycle strings")
-    group = generate_group(degree, [parse_cycles(t, degree) for t in gen_texts])
+    # |R| > |G|, so a group over the bound puts R over it: stop enumerating there
+    group = generate_group(degree, [parse_cycles(t, degree) for t in gen_texts], max_size)
     matrix_rows = spec.get("matrix")
     if not matrix_rows or not isinstance(matrix_rows, list):
         raise InputError("rzms input needs a non-empty 'matrix'")
@@ -148,12 +152,14 @@ def _build_rzms(spec) -> ReesZeroMatrixSemigroup:
 def _build_semigroup(spec, args):
     kind = spec["kind"]
     max_size = args.bound_closure
+    if max_size < 1:
+        raise InputError(f"--bound-closure must be at least 1, got {max_size}")
     if kind == "transformations":
         return _build_transformations(spec, max_size), None
     if kind == "cayley_table":
-        return _build_cayley_table(spec), None
+        return _build_cayley_table(spec, max_size), None
     if kind == "rzms":
-        rzms = _build_rzms(spec)
+        rzms = _build_rzms(spec, max_size)
         if rzms.size > max_size:
             raise CapacityError(
                 f"Rees matrix semigroup has {rzms.size} elements, over the "

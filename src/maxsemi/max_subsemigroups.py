@@ -199,7 +199,7 @@ def max_s1(sg, gs, j, xp, span=None) -> Optional[MaximalSubsemigroup]:
 # ---------------------------------------------------------------------------
 # S2: lifted subgroup-type results
 
-def max_s2(sg, gs, j, xp, pfi: PrincipalFactorIso, span=None) -> list[MaximalSubsemigroup]:
+def max_s2(sg, gs, j, xp, pfi: PrincipalFactorIso) -> list[MaximalSubsemigroup]:
     """Lift the type-(R6) maximal subsemigroups of the principal factor
     that contain the image of E X', where E holds one idempotent per
     L-class of J (first in discovery order)."""
@@ -266,7 +266,7 @@ def _one_sided_gens(gs, j, by_pair, own, other, kept, classes, other_comps=None)
 # ---------------------------------------------------------------------------
 # S3: rectangles (unions of both L- and R-classes)
 
-def max_s3(sg, gs, j, xp, jg: JClassGraphs) -> list[MaximalSubsemigroup]:
+def max_s3(sg, gs, j, jg: JClassGraphs) -> list[MaximalSubsemigroup]:
     nl = jg.gamma_l.component_count
     nr = jg.gamma_r.component_count
     flow_edges = set(jg.gamma_l.edges) | {
@@ -319,7 +319,7 @@ def _build_rectangle(sg, gs, j, jg, l_comps, r_comps):
 # ---------------------------------------------------------------------------
 # S4 / S5: one-sided removals
 
-def max_s4_s5(sg, gs, j, xp, jg: JClassGraphs, s3_results) -> list[MaximalSubsemigroup]:
+def max_s4_s5(sg, gs, j, jg: JClassGraphs, s3_results) -> list[MaximalSubsemigroup]:
     """S4 removes a colour-0 source of Gamma_L, S5 one of Gamma_R."""
     by_pair = elements_by_pair(gs, j)
     members = set(gs.j_classes[j])
@@ -351,7 +351,7 @@ def max_s4_s5(sg, gs, j, xp, jg: JClassGraphs, s3_results) -> list[MaximalSubsem
 # ---------------------------------------------------------------------------
 # S6: remove the whole class
 
-def max_s6(sg, gs, j, xp, jg: JClassGraphs, found_any: bool) -> Optional[MaximalSubsemigroup]:
+def max_s6(sg, gs, j, jg: JClassGraphs, found_any: bool) -> Optional[MaximalSubsemigroup]:
     if found_any or jg.theta.edges:
         return None
     return _without_class(sg, gs, j, "S6")
@@ -439,11 +439,11 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
     jg = build_jclass_graphs(sg, gs, j, xp, span=span)
     _check_group_order(gs, j)
     pfi = principal_factor_iso(sg, gs, j)
-    found = max_s2(sg, gs, j, xp, pfi, span=span)
-    s3 = max_s3(sg, gs, j, xp, jg)
+    found = max_s2(sg, gs, j, xp, pfi)
+    s3 = max_s3(sg, gs, j, jg)
     found += s3
-    found += max_s4_s5(sg, gs, j, xp, jg, s3)
+    found += max_s4_s5(sg, gs, j, jg, s3)
     results.extend(found)
-    got = max_s6(sg, gs, j, xp, jg, found_any=bool(found))
+    got = max_s6(sg, gs, j, jg, found_any=bool(found))
     if got is not None:
         results.append(got)

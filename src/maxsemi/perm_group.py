@@ -8,8 +8,8 @@ The maximal subgroups are found one conjugacy class at a time by cyclic
 extension (Neubuser 1960), not from the whole subgroup lattice.
 ``SUBGROUP_ORDER_BOUND`` guards the search.
 
-``_close_elements`` stays apart from ``semigroup_core.closure``, although
-a group is the semigroup closure of the identity and its generators:
+``generate_group`` walks on its own, not through ``semigroup_core.closure``,
+although a group is the semigroup closure of the identity and its generators:
 ``semigroup_core`` imports this module, so the kernel cannot call up into
 it, and ``closure`` also records the right Cayley graph, which no group
 routine reads.
@@ -170,10 +170,16 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _close_elements(gens: Iterable[Permutation], degree: int) -> frozenset:
-    """Smallest set containing the identity and the generators, closed
-    under composition.  For finite inputs this is the generated subgroup."""
-    gens = list(gens)
+def generate_group(degree: int, gens: Sequence[Permutation],
+                   max_order: Optional[int] = None) -> PermGroup:
+    """Group generated by ``gens`` on ``degree`` points: the smallest set
+    holding the identity that is closed under right multiplication by
+    ``gens``.  Empty ``gens`` yields the trivial group.  The walk stops
+    with a CapacityError once it passes ``max_order`` elements."""
+    gens = tuple(gens)
+    for g in gens:
+        if g.degree != degree:
+            raise InputError(f"generator degree {g.degree} does not match {degree}")
     seen = {identity(degree)}
     queue = list(seen)
     while queue:
@@ -184,19 +190,11 @@ def _close_elements(gens: Iterable[Permutation], degree: int) -> frozenset:
                 if q not in seen:
                     seen.add(q)
                     frontier.append(q)
+                    if max_order is not None and len(seen) > max_order:
+                        raise CapacityError(
+                            f"group exceeded {max_order} elements", bound=max_order)
         queue = frontier
-    return frozenset(seen)
-
-
-def generate_group(degree: int, gens: Sequence[Permutation]) -> PermGroup:
-    """Group generated by ``gens`` on ``degree`` points; empty ``gens``
-    yields the trivial group."""
-    gens = tuple(gens)
-    for g in gens:
-        if g.degree != degree:
-            raise InputError(f"generator degree {g.degree} does not match {degree}")
-    elements = _close_elements(gens, degree)
-    return PermGroup(degree, gens, tuple(sorted(elements)))
+    return PermGroup(degree, gens, tuple(sorted(seen)))
 
 
 def _check_search_order(order: int) -> None:

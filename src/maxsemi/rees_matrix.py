@@ -9,13 +9,18 @@ convention for keeping the two index sets disjoint.
 
 The six searches max_r1_r2 .. max_r6 together enumerate every maximal
 subsemigroup of a finite regular Rees 0-matrix semigroup over a group.
+
+Both coordinatisations the searches stand on, the Rees isomorphism of a
+principal factor (``semigroup_core.principal_factor_iso``) and Graham's
+rescaling (``normalize``), are checked by one exact test, ``check_iso``:
+the products a x with x in a ``right_cover`` of the domain, at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InputError
 from .graphs import Graph, adjacency, connected_components, graph, maximal_independent_sets
@@ -118,6 +123,75 @@ def gh_vertex_label(rzms: ReesZeroMatrixSemigroup, v: int) -> str:
     """Graham-Houghton vertex label: 1-based for I, negative for Lambda."""
     m = rzms.num_cols
     return str(v + 1) if v < m else str(-(v - m + 1))
+
+
+# ---------------------------------------------------------------------------
+# Checking a coordinatisation
+
+def right_cover(times: Callable, elements: Iterable) -> tuple[list, list]:
+    """A greedy right cover X of ``elements``: each element that right
+    multiplication has not yet reached joins X and then acts on
+    everything reached so far.  ``times(a, b)`` is the product, or None
+    for a zero that is not itself listed.  Returns X and the elements
+    reached, each a product x1 x2 ... xk over X; every listed element is
+    among them."""
+    cover: list = []
+    reached: list = []
+    seen = set()
+    for s in elements:
+        if s in seen:
+            continue
+        cover.append(s)
+        queue = [s] + [times(a, s) for a in reached]
+        while queue:
+            a = queue.pop()
+            if a is None or a in seen:
+                continue
+            seen.add(a)
+            reached.append(a)
+            queue.extend(times(a, x) for x in cover)
+    return cover, reached
+
+
+def _times_on_positions(rzms: ReesZeroMatrixSemigroup) -> Callable:
+    """The product of ``rzms`` on triples (i, g, lam) with g a position in
+    the group, and None for the zero."""
+    index, mul = rzms.group.mul_table
+    p = [[None if e is None else index[e] for e in row] for row in rzms.matrix]
+
+    def times(a, b):
+        q = p[a[2]][b[0]]
+        return None if q is None else (a[0], mul[mul[a[1]][q]][b[1]], b[2])
+
+    return times
+
+
+def check_iso(image: dict, times: Callable, target: ReesZeroMatrixSemigroup) -> None:
+    """Raise AssertionError unless f: a -> image[a] is an isomorphism from
+    the keys of ``image`` with a zero adjoined onto ``target``.  Images
+    are triples (i, g, lam) with g a position in the target's group, and
+    ``times(a, b)`` is the product of the domain, or None for its zero.
+
+    f must be a bijection onto target \\ {0}, and f(a x) = f(a) f(x) must
+    hold for every a and every x in a right cover X of the domain.  Every
+    w is a product x1 ... xk over X, so by induction on k, with the zero
+    absorbing, f(a w) = f(a) f(w) for all a and w: the check is exact in
+    |domain| |X| products.  Precondition: the domain is associative, as
+    ``closure``'s associative ``mul`` and ``from_table``'s Light test
+    guarantee for every FiniteSemigroup.
+    """
+    triples = [(i, g, lam) for i in range(target.num_cols)
+               for g in range(target.group.order) for lam in range(target.num_rows)]
+    if sorted(image.values()) != triples:
+        raise AssertionError("coordinatisation is not a bijection onto the non-zero elements")
+    target_times = _times_on_positions(target)
+    cover, _ = right_cover(times, image)
+    for a, fa in image.items():
+        for x in cover:
+            ax = times(a, x)
+            if (None if ax is None else image[ax]) != target_times(fa, image[x]):
+                raise AssertionError(
+                    f"coordinatisation does not preserve the product {a!r} * {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,47 +317,20 @@ def normalize(rzms: ReesZeroMatrixSemigroup) -> NormalizationData:
         col_scale=tuple(u),
         components=tuple(components),
     )
-    if rzms.size <= 5000:
-        _verify_iso(data)
-    return data
-
-
-def _verify_iso(data: NormalizationData) -> None:
-    """Exhaustive check that forward() preserves multiplication, on the
-    group's integer multiplication table to keep the pair loop cheap."""
-    src, dst = data.original, data.normalized
-    g_index, mul = src.group.mul_table
-    src_p = [[None if e is None else g_index[e] for e in row] for row in src.matrix]
-    dst_p = [[None if e is None else g_index[e] for e in row] for row in dst.matrix]
-    ucol = [g_index[p] for p in data.col_scale]
-    vrow = [g_index[p] for p in data.row_scale]
-
-    def fwd(i, kg, lam):
-        return (i, mul[mul[ucol[i]][kg]][vrow[lam]], lam)
-
-    triples = [
-        (i, kg, lam)
-        for i in range(src.num_cols)
-        for kg in range(src.group.order)
-        for lam in range(src.num_rows)
-    ]
+    index, mul = rzms.group.mul_table
+    ucol = [index[p] for p in u]
+    vrow = [index[p] for p in v]
     back = data.backward_table  # the inverse the R6 search maps results through
-    for (i, kg, lam) in triples:
-        if back[i][lam][fwd(i, kg, lam)[1]] != src.group.elements[kg]:
-            raise AssertionError("normalization iso is not a bijection")
-    for (i, kg, lam) in triples:
-        for (k, kh, mu) in triples:
-            p = src_p[lam][k]
-            q = dst_p[lam][k]
-            if (p is None) != (q is None):
-                raise AssertionError("normalization altered the zero pattern")
-            if p is None:
-                continue
-            prod = (i, mul[mul[kg][p]][kh], mu)
-            fa, fb = fwd(i, kg, lam), fwd(k, kh, mu)
-            image = (fa[0], mul[mul[fa[1]][q]][fb[1]], fb[2])
-            if fwd(*prod) != image:
-                raise AssertionError("normalization iso does not preserve products")
+    image = {}
+    for i in range(m):
+        for g, p in enumerate(rzms.group.elements):
+            for lam in range(rzms.num_rows):
+                h = mul[mul[ucol[i]][g]][vrow[lam]]
+                if back[i][lam][h] != p:
+                    raise AssertionError("normalization iso is not a bijection")
+                image[(i, g, lam)] = (i, h, lam)
+    check_iso(image, _times_on_positions(rzms), normalized)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ stability; the J order is the condensation of the two-sided Cayley graph.
 J-class is coordinatised as I x G x Lambda by fixing an idempotent e,
 choosing row representatives in R_i n L_e and column representatives in
 L_lam n R_e, and reading the structure matrix off their products.
+Every coordinatisation is checked when it is built, at any size, by
+``rees_matrix.check_iso``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import CapacityError, InputError
 from .graphs import Digraph, _tarjan_sccs, digraph
 from .perm_group import Permutation, _group_from_elements
-from .rees_matrix import ReesZeroMatrixSemigroup, generating_set
+from .rees_matrix import ReesZeroMatrixSemigroup, check_iso, generating_set, right_cover
 
 CLOSURE_BOUND = 100_000
 TABLE_BOUND = 2048
@@ -174,6 +176,8 @@ def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> Fin
         if g not in index:
             index[g] = len(elements)
             elements.append(g)
+    if len(elements) > max_size:
+        raise CapacityError(f"closure exceeded {max_size} elements", bound=max_size)
     gen_payloads = list(elements)
     right: list[list[int]] = [[] for _ in gen_payloads]
     pre = [-1] * len(gen_payloads)
@@ -209,7 +213,8 @@ def from_table(
     Associativity is checked exactly by Light's test (Clifford & Preston,
     vol. 1): (x a) y = x (a y) for all x, y and every a in a set A whose
     right-multiplication closure covers the table, which costs
-    O(n^2 |A|).  A is the given generators, or else a greedy cover.
+    O(n^2 |A|).  A is the given generators, or else the greedy
+    ``right_cover`` of the table.
     Violations are input errors.
     """
     n = len(table)
@@ -220,15 +225,18 @@ def from_table(
         if len(r) != n or any(not 0 <= x < n for x in r):
             raise InputError("table must be square with entries in 0..n-1")
 
+    def times(a, b):
+        return rows[a][b]
+
     if generator_indices is None:
         generator_indices = list(range(n))
-        light_set, _ = _right_cover(rows, range(n))
+        light_set, _ = right_cover(times, range(n))
     else:
         generator_indices = list(generator_indices)
         if any(not 0 <= g < n for g in generator_indices):
             raise InputError("generator indices must lie in 0..n-1")
-        light_set, reached = _right_cover(rows, generator_indices)
-        if reached != n:
+        light_set, reached = right_cover(times, generator_indices)
+        if len(reached) != n:
             raise InputError("given generators do not generate the whole table")
 
     # the elements a with (x a) y = x (a y) for all x, y form a
@@ -242,36 +250,9 @@ def from_table(
                 y = next(y for y in range(n) if xa_row[y] != x_row[row_a[y]])
                 raise InputError(f"table is not associative at ({x}, {a}, {y})")
 
-    sg = FiniteSemigroup(list(range(n)), lambda a, b: rows[a][b], generator_indices)
+    sg = FiniteSemigroup(list(range(n)), times, generator_indices)
     sg._table = rows
     return sg
-
-
-def _right_cover(rows, candidates) -> tuple[list[int], int]:
-    """Greedy generators from ``candidates``: each one not yet reached by
-    right multiplication joins them and then acts on everything reached
-    so far.  Returns the generators and how many elements they reach."""
-    gens: list[int] = []
-    reached: list[int] = []
-    seen = [False] * len(rows)
-    for s in candidates:
-        if seen[s]:
-            continue
-        gens.append(s)
-        queue = []
-        for b in [s] + [rows[a][s] for a in reached]:
-            if not seen[b]:
-                seen[b] = True
-                queue.append(b)
-        while queue:
-            a = queue.pop()
-            reached.append(a)
-            for g in gens:
-                b = rows[a][g]
-                if not seen[b]:
-                    seen[b] = True
-                    queue.append(b)
-    return gens, len(reached)
 
 
 def semigroup_from_rzms(rzms: ReesZeroMatrixSemigroup) -> FiniteSemigroup:
@@ -313,11 +294,9 @@ class GreensStructure:
         return self._maximal_js
 
 
-def _classes_from_partition(n: int, comp_of: Sequence[int]):
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp_of):
-        groups.setdefault(c, []).append(v)
-    ordered = sorted(groups.values(), key=min)
+def _classes_from_partition(n: int, parts: Iterable[Iterable[int]]):
+    """Class ids numbered by least member, and each class sorted."""
+    ordered = sorted(map(sorted, parts))  # disjoint, so this orders by min
     class_of = [0] * n
     for cid, members in enumerate(ordered):
         for v in members:
@@ -342,28 +321,13 @@ def greens_structure(sg: FiniteSemigroup) -> GreensStructure:
                 left_adj[a].append(ga)
                 both_adj[a].append(ga)
 
-    r_of = [0] * n
-    for cid, comp in enumerate(_tarjan_sccs(n, right_adj)):
-        for v in comp:
-            r_of[v] = cid
-    l_of = [0] * n
-    for cid, comp in enumerate(_tarjan_sccs(n, left_adj)):
-        for v in comp:
-            l_of[v] = cid
-    j_of = [0] * n
-    for cid, comp in enumerate(_tarjan_sccs(n, both_adj)):
-        for v in comp:
-            j_of[v] = cid
-
-    r_class, r_classes = _classes_from_partition(n, r_of)
-    l_class, l_classes = _classes_from_partition(n, l_of)
-    h_pairs = [(r_class[v], l_class[v]) for v in range(n)]
-    pair_ids: dict[tuple[int, int], int] = {}
-    h_of = []
-    for p in h_pairs:
-        h_of.append(pair_ids.setdefault(p, len(pair_ids)))
-    h_class, h_classes = _classes_from_partition(n, h_of)
-    j_class, j_classes = _classes_from_partition(n, j_of)
+    r_class, r_classes = _classes_from_partition(n, _tarjan_sccs(n, right_adj))
+    l_class, l_classes = _classes_from_partition(n, _tarjan_sccs(n, left_adj))
+    h_parts: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        h_parts.setdefault((r_class[v], l_class[v]), []).append(v)
+    h_class, h_classes = _classes_from_partition(n, h_parts.values())
+    j_class, j_classes = _classes_from_partition(n, _tarjan_sccs(n, both_adj))
 
     jn = len(j_classes)
     j_edges = set()
@@ -553,30 +517,11 @@ def principal_factor_iso(sg: FiniteSemigroup, gs: GreensStructure, j: int) -> Pr
         raise AssertionError("principal factor coordinatisation is not a bijection")
     backward = {t: e for e, t in forward.items()}
 
-    if len(members) <= 5000:
-        _verify_principal_factor(sg, gs, j, forward, target)
+    def times(a, b):  # the product of the principal factor; None is its zero
+        ab = sg.product(a, b)
+        return ab if gs.j_class[ab] == j else None
 
+    index = group.mul_table[0]
+    check_iso({e: (i, index[g], lam) for e, (i, g, lam) in forward.items()}, times, target)
     return PrincipalFactorIso(
         j_class=j, target=target, forward=forward, backward=backward)
-
-
-def _verify_principal_factor(sg, gs, j, forward, target) -> None:
-    g_index, mul = target.group.mul_table
-    p_idx = [[None if e is None else g_index[e] for e in row] for row in target.matrix]
-    fwd = {e: (i, g_index[g], lam) for e, (i, g, lam) in forward.items()}
-    members = list(fwd)
-    j_of = gs.j_class
-    for x in members:
-        ix, gx, lx = fwd[x]
-        for y in members:
-            iy, gy, ly = fwd[y]
-            xy = sg.product(x, y)
-            p = p_idx[lx][iy]
-            if j_of[xy] == j:
-                if p is None or fwd[xy] != (ix, mul[mul[gx][p]][gy], ly):
-                    raise AssertionError(
-                        "principal factor map does not preserve products")
-            else:
-                if p is not None:
-                    raise AssertionError(
-                        "product left the J-class but the matrix entry is non-zero")

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from maxsemi.cli import run
+from maxsemi.perm_group import Permutation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -149,6 +150,44 @@ class TestErrors:
         code, _ = invoke(["maximal", W_INPUT, "--bound-closure", "10"])
         assert code == 2
         assert "10" in capsys.readouterr().err
+
+    def test_capacity_stops_group_enumeration(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps({
+            "kind": "rzms", "group_degree": 9,
+            "group_generators": ["(1 2)", "(1 2 3 4 5 6 7 8 9)"], "matrix": [["()"]]}))
+        products = [0]
+        mul = Permutation.__mul__
+
+        def counted(a, b):
+            products[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        code, _ = invoke(["analyze", str(path), "--bound-closure", "100"])
+        assert code == 2
+        assert "100" in capsys.readouterr().err
+        assert products[0] < 1000  # |S9| = 362 880 is never enumerated
+
+    def test_table_over_bound_exits_2(self, tmp_path):
+        path = tmp_path / "zero5.json"
+        path.write_text(json.dumps({"kind": "cayley_table", "table": [[0] * 5] * 5}))
+        code, _ = invoke(["analyze", str(path), "--bound-closure", "2"])
+        assert code == 2
+
+    def test_closed_generators_over_bound_exit_2(self, tmp_path):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps({"kind": "transformations",
+                                    "generators": [[1, 1], [2, 2]]}))
+        code, _ = invoke(["analyze", str(path), "--bound-closure", "1"])
+        assert code == 2
+
+    def test_bound_below_1_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "zero2.json"
+        path.write_text(json.dumps({"kind": "cayley_table", "table": [[0, 0], [0, 0]]}))
+        code, _ = invoke(["analyze", str(path), "--bound-closure", "-5"])
+        assert code == 1
+        assert "--bound-closure" in capsys.readouterr().err
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"

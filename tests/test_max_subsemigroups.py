@@ -336,7 +336,7 @@ class TestS2FilterShrinks:
                 if {g for g in sg.generator_indices if gs.j_class[g] == j} <= span:
                     continue
                 pfi = principal_factor_iso(sg, gs, j)
-                filtered = len(max_s2(sg, gs, j, xp, pfi, span=span))
+                filtered = len(max_s2(sg, gs, j, xp, pfi))
                 unfiltered = len(max_r6(pfi.target))
                 assert filtered <= unfiltered
                 if filtered < unfiltered:

@@ -147,6 +147,39 @@ class TestNormalize:
         for x in itertools.islice(s4_rzms.elements(), 200):
             assert nd.backward(nd.forward(x)) == x
 
+    def test_corrupted_entry_is_caught(self, s4_rzms, monkeypatch):
+        # entry (1, 2) lies off the BFS tree, so the scales cannot fix it
+        entry = normalize(s4_rzms).normalized.matrix[1][2]
+        assert not entry.is_identity()
+        corrupt_normalized_entry(monkeypatch, 1, 2)
+        with pytest.raises(AssertionError):
+            normalize(s4_rzms)
+
+    def test_corrupted_entry_is_caught_above_5000_elements(self, monkeypatch):
+        # 15 x 15 zero-free over S4: 5 401 elements; row 0 and column 0
+        # are the identity, so normalisation leaves P as it is
+        s4 = support.symmetric_group(4)
+        rzms = ReesZeroMatrixSemigroup(s4, tuple(
+            tuple(s4.elements[(lam * i) % s4.order] for i in range(15))
+            for lam in range(15)))
+        assert rzms.size == 5401
+        corrupt_normalized_entry(monkeypatch, 1, 2)
+        with pytest.raises(AssertionError):
+            normalize(rzms)
+
+
+def corrupt_normalized_entry(monkeypatch, lam, i):
+    """Make ``normalize`` build its normalized matrix with entry (lam, i)
+    moved to the next element of the group."""
+    real = rees_matrix.ReesZeroMatrixSemigroup
+
+    def corrupted(group, matrix):
+        rows = [list(row) for row in matrix]
+        rows[lam][i] = group.elements[(group.elements.index(rows[lam][i]) + 1) % group.order]
+        return real(group, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(rees_matrix, "ReesZeroMatrixSemigroup", corrupted)
+
 
 class TestR1R2:
     def test_s4_example_neither(self, s4_rzms):

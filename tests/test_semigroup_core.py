@@ -4,7 +4,7 @@ import random
 import pytest
 
 import support
-from maxsemi import errors
+from maxsemi import errors, semigroup_core
 from maxsemi.perm_group import Permutation
 from maxsemi.semigroup_core import (
     Transformation,
@@ -357,6 +357,22 @@ class TestPrincipalFactorIso:
         gs = greens_structure(sg)
         j = next(k for k in range(3) if not gs.regular_j[k])
         with pytest.raises(errors.InputError, match="S1"):
+            principal_factor_iso(sg, gs, j)
+
+    def test_swapped_h_class_action_is_caught(self, s4_rzms, monkeypatch):
+        sg = semigroup_from_rzms(s4_rzms)
+        gs = greens_structure(sg)
+        j = max(range(len(gs.j_classes)), key=lambda k: len(gs.j_classes[k]))
+        real = semigroup_core.group_h_class_as_permgroup
+
+        def swapped(sg, h_class):
+            group, to_perm, _ = real(sg, h_class)
+            a, b = sorted(to_perm)[:2]
+            to_perm = {**to_perm, a: to_perm[b], b: to_perm[a]}
+            return group, to_perm, {p: h for h, p in to_perm.items()}
+
+        monkeypatch.setattr(semigroup_core, "group_h_class_as_permgroup", swapped)
+        with pytest.raises(AssertionError):
             principal_factor_iso(sg, gs, j)
 
     def test_target_regular(self, w_semigroup):
