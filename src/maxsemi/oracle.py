@@ -3,11 +3,16 @@
 ``brute_force_maximal`` enumerates every subset of the semigroup and
 keeps the inclusion-maximal closed proper ones.  ``verify_maximal``
 checks one candidate M from the definition: M is closed, proper, and
-<M, x> = S for every x outside M, tried in increasing order.  A walk
-stops early at any y already shown to generate: y in <M, x> gives
-<M, x> contains <M, y> = S, a fact about subsemigroups, not about the
-package's theory.  Nothing from Green's relations, principal factors
-or the R/S searches is reused, so the oracle can judge them.
+<M, x> = S for every x outside M, tried in increasing order.  Two facts
+about subsemigroups, not about the package's theory, keep this cheap.
+Closedness: walking inside M yields a right cover X, every member a
+word over X, and M is closed iff M X lies in M.  Extensions: each
+element of <M, x> outside M is u x v with u in M or empty and v a word
+over X and x, so <M, x> is one right walk from M x and x under X and x.
+A walk stops early at any y already shown to generate: y in <M, x>
+gives <M, x> contains <M, y> = S.  Nothing from Green's relations,
+principal factors or the R/S searches is reused, and the oracle walks
+its own cover, so it can judge them.
 """
 
 from __future__ import annotations
@@ -70,28 +75,52 @@ def brute_force_maximal(sg: FiniteSemigroup) -> OracleReport:
         size=n, maximal=tuple(sets), wall_time=time.perf_counter() - start)
 
 
-def _generates(times, members, x: int, generating: set) -> bool:
-    """True iff <members, x> is everything (``members`` is closed), where
-    ``times[a](b)`` is a * b.  Each round multiplies the new elements by
-    the whole set on both sides, and the walk stops once it fills S or
+def _right_cover(times, members, member_set):
+    """A right cover X of the candidate M, or None if M is not closed,
+    where ``times[a](b)`` is a * b.  Each member that right
+    multiplication has not yet reached joins X and then acts on
+    everything reached so far.  A product that leaves M shows M is not
+    closed.  Otherwise every member is a word over X and M * X lies in
+    M, so M * M lies in M: closedness costs about |M| |X| products."""
+    cover: list = []
+    reached: set = set()
+    for s in members:
+        if s in reached:
+            continue
+        cover.append(s)
+        queue = [s, *(times[a](s) for a in reached)]
+        while queue:
+            a = queue.pop()
+            if a in reached:
+                continue
+            if a not in member_set:
+                return None
+            reached.add(a)
+            queue.extend(map(times[a], cover))
+    return cover
+
+
+def _generates(times, cover, member_set, x: int, generating: set) -> bool:
+    """True iff <M, x> is everything, for M = ``member_set`` closed with
+    right cover ``cover``.  Each element of <M, x> outside M is u x v,
+    with u in M or empty and v a word over X and x; for a shortest such
+    v every prefix u x v' also lies outside M.  So a right walk from
+    (M x and x) minus M under X and x, through elements outside M only,
+    reaches all of <M, x> outside M.  The walk stops once it fills S or
     meets an element of ``generating``."""
-    n = len(times)
-    inside = {x, *members}
-    frontier = [x]
-    while len(inside) < n:
-        snapshot = list(inside)
-        new = set()
-        for a in frontier:
-            new.update(map(times[a], snapshot))
-            new.update([times[b](a) for b in snapshot])
-        new -= inside
-        if not new:
-            return False
+    letters = [*cover, x]
+    need = len(times) - len(member_set)
+    reached = {x, *(times[m](x) for m in member_set)} - member_set
+    if not generating.isdisjoint(reached):
+        return True
+    queue = list(reached)
+    while queue and len(reached) < need:
+        new = set(map(times[queue.pop()], letters)) - member_set - reached
         if not generating.isdisjoint(new):
             return True
-        inside |= new
-        frontier = new
-    return True
+        reached |= new
+        queue.extend(new)
+    return len(reached) == need
 
 
 def verify_maximal(sg: FiniteSemigroup, candidate: Iterable[int]):
@@ -112,17 +141,20 @@ def verify_maximal(sg: FiniteSemigroup, candidate: Iterable[int]):
         times = [row.__getitem__ for row in sg.table()]
     else:
         times = [partial(sg.product, a) for a in range(n)]
-    for a in members:
-        if not member_set.issuperset(map(times[a], members)):
-            b = next(b for b in members if times[a](b) not in member_set)
-            return False, f"not closed: {a} * {b} = {times[a](b)} is missing"
+    cover = _right_cover(times, members, member_set)
+    if cover is None:
+        # the first failing pair in row order names the witness
+        for a in members:
+            if not member_set.issuperset(map(times[a], members)):
+                b = next(b for b in members if times[a](b) not in member_set)
+                return False, f"not closed: {a} * {b} = {times[a](b)} is missing"
     if len(member_set) == n:
         return False, "not proper: candidate is the whole semigroup"
     generating = set()
     for x in range(n):
         if x in member_set:
             continue
-        if not _generates(times, members, x, generating):
+        if not _generates(times, cover, member_set, x, generating):
             return False, f"not maximal: adjoining {x} does not generate everything"
         generating.add(x)
     return True, "ok"

@@ -16,3 +16,8 @@ def w_semigroup():
 @pytest.fixture(scope="session")
 def oracle_corpus():
     return support.oracle_corpus()
+
+
+@pytest.fixture(scope="session")
+def t6_semigroup():
+    return support.t6_semigroup()

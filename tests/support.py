@@ -43,6 +43,15 @@ W_GENERATOR_ROWS = [
     [1, 2, 4, 4, 5, 6, 7],
 ]
 
+# the transform-t6 benchmark input at seed 0: a seeded random draw inside
+# T6 with 1 274 elements, 8 J-classes and 6 maximal subsemigroups
+T6_GENERATOR_ROWS = [
+    [3, 1, 3, 5, 2, 6],
+    [4, 6, 6, 5, 5, 4],
+    [2, 5, 5, 2, 4, 6],
+    [5, 4, 4, 4, 5, 2],
+]
+
 
 def symmetric_group(n):
     cyc = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
@@ -70,6 +79,12 @@ def s4_rzms():
 def w_semigroup():
     """W <= T_7, the running example for the arbitrary-semigroup search."""
     gens = [Transformation.one_based(r) for r in W_GENERATOR_ROWS]
+    return closure(gens, operator.mul)
+
+
+def t6_semigroup():
+    """The transform-t6 benchmark input, above the brute-force bound."""
+    gens = [Transformation.one_based(r) for r in T6_GENERATOR_ROWS]
     return closure(gens, operator.mul)
 
 

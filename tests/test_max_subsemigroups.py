@@ -1,3 +1,5 @@
+import operator
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from maxsemi.graphs import maximal_independent_sets, sources
 from maxsemi.oracle import brute_force_maximal, verify_maximal
 from maxsemi.rees_matrix import ZERO, brandt, generating_set
 from maxsemi.semigroup_core import (
+    Transformation,
     closure,
     closure_of_indices,
     from_table,
@@ -563,3 +566,43 @@ class TestDispatch:
         assert Counter(r.type_tag for r in results) == {"MAX-TRIVIAL": 5}
         got = {r.element_indices for r in results}
         assert got == set(brute_force_maximal(sg).maximal)
+
+
+class TestAboveBruteForceBound:
+    # checks of completeness and structure that enumerate no subsets
+
+    def test_duals_swap_left_and_right(self, w_semigroup, t6_semigroup):
+        # S and its dual (the transposed table) have the same
+        # subsemigroups, so the same maximal ones, with left and right
+        # swapped; the S4 example is left out, its dual takes 1.8 s
+        swap = {"S4": "S5", "S5": "S4", "MAX-R3": "MAX-R4", "MAX-R4": "MAX-R3"}
+        for sg in (w_semigroup, t6_semigroup):
+            dual = from_table(list(zip(*sg.table())), sg.generator_indices)
+            results = max_subsemigroups(sg)
+            dual_results = max_subsemigroups(dual)
+            assert len(dual_results) == len(results)
+            assert ({(r.type_tag, r.element_indices) for r in dual_results}
+                    == {(swap.get(r.type_tag, r.type_tag), r.element_indices)
+                        for r in results})
+            for r in dual_results:
+                assert verify_maximal(dual, r.element_indices) == (True, "ok")
+
+    def test_relabelling_t6(self, t6_semigroup):
+        # conjugating the generators by a permutation p of the points is an
+        # isomorphism onto the new semigroup, so it maps each result onto
+        # a result of the same type
+        p = list(range(6))
+        random.Random(6).shuffle(p)
+        inv = sorted(range(6), key=p.__getitem__)
+
+        def conj(t):
+            return Transformation(tuple(p[t.images[inv[j]]] for j in range(6)))
+
+        gens = [conj(t6_semigroup.elements[g]) for g in t6_semigroup.generator_indices]
+        other = closure(gens, operator.mul)
+        images = {(r.type_tag, frozenset(conj(t6_semigroup.elements[e])
+                                         for e in r.element_indices))
+                  for r in max_subsemigroups(t6_semigroup)}
+        got = {(r.type_tag, frozenset(other.elements[e] for e in r.element_indices))
+               for r in max_subsemigroups(other)}
+        assert got == images and len(images) == 6

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import operator
 import os
@@ -163,15 +165,75 @@ class TestEarlyExit:
             assert not ok and (ok, msg) == reference_verdict(sg, candidate)
 
     def test_without_table(self, w_semigroup, monkeypatch):
-        # above TABLE_BOUND the oracle multiplies through sg.product
+        # above TABLE_BOUND the oracle multiplies through sg.product; the
+        # set that is not closed runs the cover's failure branch there
         results = [r.element_indices for r in max_subsemigroups(w_semigroup)]
         control = results[0] & results[-1]
-        with_table = [verify_maximal(w_semigroup, m) for m in results + [control]]
+        not_closed = results[0] | {min(set(range(w_semigroup.size)) - results[0])}
+        candidates = results + [control, not_closed]
+        with_table = [verify_maximal(w_semigroup, m) for m in candidates]
         monkeypatch.setattr(oracle, "TABLE_BOUND", 0)
-        without = [verify_maximal(w_semigroup, m) for m in results + [control]]
+        without = [verify_maximal(w_semigroup, m) for m in candidates]
         assert without == with_table
-        assert all(ok for ok, _ in with_table[:-1])
-        assert with_table[-1][1].startswith("not maximal")
+        assert all(ok for ok, _ in with_table[:-2])
+        assert with_table[-2][1].startswith("not maximal")
+        assert with_table[-1][1].startswith("not closed")
+
+
+class TestRightCover:
+    # closedness is read off a right cover X of the candidate M: a cover
+    # that skips a product accepts some M that is not closed
+    def test_one_element_more_at_scale(self, s4_rzms, t6_semigroup):
+        # a maximal M plus any y outside is not closed (unless it is S),
+        # and the reference finds its witness by the plain pair scan
+        for sg in (semigroup_from_rzms(s4_rzms), t6_semigroup):
+            for r in max_subsemigroups(sg):
+                m = r.element_indices
+                candidate = m | {min(set(range(sg.size)) - m)}
+                assert verify_maximal(sg, candidate) == reference_verdict(sg, candidate)
+
+    def test_cover_is_exact_on_corpus(self, oracle_corpus):
+        # None exactly when M is not closed; otherwise every member of M
+        # is a right word over X
+        rng = random.Random(23)
+        for _, sg in oracle_corpus:
+            n = sg.size
+            times = [row.__getitem__ for row in sg.table()]
+            for _ in range(4):
+                seed = rng.sample(range(n), rng.randint(1, n))
+                for candidate in (set(seed), support.closure_plain(sg, seed)):
+                    members = sorted(candidate)
+                    cover = oracle._right_cover(times, members, candidate)
+                    closed = support.closure_plain(sg, members) == candidate
+                    assert (cover is None) == (not closed)
+                    if cover is None:
+                        continue
+                    words = set(cover)
+                    queue = list(cover)
+                    while queue:
+                        a = queue.pop()
+                        for x in cover:
+                            c = sg.product(a, x)
+                            if c not in words:
+                                words.add(c)
+                                queue.append(c)
+                    assert words == candidate
+
+
+def test_oracle_imports_only_errors_and_semigroup_core():
+    # the oracle judges the searches, so it shares no code with them
+    used = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            used.update([node.module] if node.module else
+                        [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("maxsemi"):
+            used.update([node.module.partition(".")[2]] if "." in node.module else
+                        [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            used.update(alias.name.partition(".")[2] for alias in node.names
+                        if alias.name.startswith("maxsemi"))
+    assert used == {"errors", "semigroup_core"}
 
 
 @st.composite
