@@ -354,13 +354,34 @@ class RzmsMaxSubsemigroup:
         return len(self.element_set)
 
 
-def _all_nonzero(rzms) -> list:
-    return [
-        (i, g, lam)
-        for i in range(rzms.num_cols)
-        for g in rzms.group.elements
-        for lam in range(rzms.num_rows)
-    ]
+def _h_class_union(rzms, tag, witness, keep, zero=True) -> RzmsMaxSubsemigroup:
+    """The H-classes (i, lam) with ``keep(i, lam)``, with the zero if
+    ``zero``, generated by the zero, one (i, 1, lam) per kept H-class and,
+    per anchor (i0, lam0), G's generators s written as (i0, s p^-1, lam0).
+
+    An anchor is a kept H-class with p = p_{lam0,i0} != 0: a group, which
+    (i0, a, lam0) -> a p maps onto G, so the generators fill it.  It serves
+    the kept (i, lam) when (i, lam0) and (i0, lam) are kept, for then
+    (i, 1, lam0)(i0, g, lam0)(i0, 1, lam) = (i, p g p, lam) fills H_{i,lam}.
+    Each kept H-class takes the first anchor that serves it.  One exists:
+    for R2 any H-class serves all, for R3 and R4 any non-zero entry off the
+    removed row or column; for R5 (X u Y maximal independent) a lam0 not
+    in Y has a neighbour i0 in X, serving every i in X, and an i1 not in X
+    has a neighbour lam1 in Y, serving every lam in Y."""
+    kept = [(i, lam) for i in range(rzms.num_cols) for lam in range(rzms.num_rows)
+            if keep(i, lam)]
+    anchors = []
+    for i, lam in kept:
+        if not any(keep(i, b) and keep(a, lam) for a, b in anchors):
+            anchors.append(next((a, b) for a, b in kept if rzms.matrix[b][a] is not None
+                                and keep(i, b) and keep(a, lam)))
+    one = identity(rzms.group.degree)
+    gens = ([ZERO] if zero else []) + [
+        (a, s * rzms.matrix[b][a].inverse(), b) for a, b in anchors for s in rzms.group.generators]
+    gens += [(i, one, lam) for i, lam in kept]
+    elems = frozenset((i, g, lam) for i, lam in kept for g in rzms.group.elements)
+    return RzmsMaxSubsemigroup(tag, witness, tuple(dict.fromkeys(gens)),
+                               elems | {ZERO} if zero else elems)
 
 
 def max_r1_r2(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
@@ -371,8 +392,7 @@ def max_r1_r2(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
     if rzms.size == 2:
         out.append(RzmsMaxSubsemigroup("R1", (), (ZERO,), frozenset({ZERO})))
     if all(e is not None for row in rzms.matrix for e in row):
-        elems = frozenset(_all_nonzero(rzms))
-        out.append(RzmsMaxSubsemigroup("R2", (), tuple(sorted(elems, key=_elem_key)), elems))
+        out.append(_h_class_union(rzms, "R2", (), lambda i, lam: True, zero=False))
     return out
 
 
@@ -384,27 +404,27 @@ def _elem_key(x):
 
 
 def max_r3_r4(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
-    """Single-row (R3) and single-column (R4) removals.  Removing a
-    Graham-Houghton vertex must leave every other vertex on an edge, so no
-    neighbour of it may have it as its only neighbour."""
+    """Single-row (R3) and single-column (R4) removals, each the zero and
+    every other H-class.  Removing a Graham-Houghton vertex must leave
+    every other vertex on an edge, so no neighbour of it may have it as
+    its only neighbour."""
     out = []
     m = rzms.num_cols
     adj = adjacency(graham_houghton(rzms))
-    # (tag, coordinate of the removed index in (i, g, lam), count, first vertex)
-    for tag, pos, count, first in (("R3", 2, rzms.num_rows, m), ("R4", 0, m, 0)):
+    # (tag, coordinate of the removed index in (i, lam), count, first vertex)
+    for tag, pos, count, first in (("R3", 1, rzms.num_rows, m), ("R4", 0, m, 0)):
         if count == 1:
             continue
         for x in range(count):
             if all(len(adj[w]) > 1 for w in adj[first + x]):
-                elems = frozenset(e for e in _all_nonzero(rzms) if e[pos] != x) | {ZERO}
-                out.append(RzmsMaxSubsemigroup(
-                    tag, (x,), tuple(sorted(elems, key=_elem_key)), elems))
+                out.append(_h_class_union(rzms, tag, (x,), lambda *h: h[pos] != x))
     return out
 
 
 def max_r5(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
     """One result per maximal independent set X u Y of the Graham-Houghton
-    graph with X a proper non-empty subset of I and Y of Lambda."""
+    graph with X a proper non-empty subset of I and Y of Lambda: the zero
+    and every H-class (i, lam) with i in X or lam in Y."""
     m = rzms.num_cols
     out = []
     for mis in maximal_independent_sets(graham_houghton(rzms)):
@@ -412,18 +432,8 @@ def max_r5(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
         y = frozenset(v - m for v in mis if v >= m)
         if not x or not y or len(x) == m or len(y) == rzms.num_rows:
             continue
-        removed_i = frozenset(range(m)) - x
-        removed_lam = frozenset(range(rzms.num_rows)) - y
-        elems = frozenset(
-            e for e in _all_nonzero(rzms)
-            if not (e[0] in removed_i and e[2] in removed_lam)
-        ) | {ZERO}
-        out.append(RzmsMaxSubsemigroup(
-            "R5",
-            (tuple(sorted(x)), tuple(sorted(y))),
-            tuple(sorted(elems, key=_elem_key)),
-            elems,
-        ))
+        out.append(_h_class_union(rzms, "R5", (tuple(sorted(x)), tuple(sorted(y))),
+                                  lambda i, lam: i in x or lam in y))
     return out
 
 
@@ -502,9 +512,11 @@ def max_r6(
 
 def _lemma_generators(data: NormalizationData, v, ts) -> list:
     """The generating set of the R6 lemma, pulled back from the normalized
-    form: the zero and the idempotents, the anchor block t_1^-1 V t_1 of
-    the first component, and for each later component k the two crossings
-    t_1^-1 t_k and t_k^-1 t_1 between its anchor and the first one.  ``v``
+    form: the zero and the idempotents, t_1^-1 x t_1 in the first
+    component's anchor H-class for each x in ``v``, and for each later
+    component k the two crossings t_1^-1 t_k and t_k^-1 t_1 between its
+    anchor and the first one.  The anchor entry is the identity, so that
+    H-class is a copy of G and ``v`` need only generate V there.  ``v``
     and ``ts`` are positions in the group."""
     index, mul = data.original.group.mul_table
     inv = data.original.group.inv_table
@@ -523,7 +535,7 @@ def _lemma_generators(data: NormalizationData, v, ts) -> list:
 
 def _build_r6(data, cls, v, ts) -> RzmsMaxSubsemigroup:
     group = data.original.group
-    _, mul = group.mul_table
+    index, mul = group.mul_table
     back = data.backward_table
     element_set = {ZERO}
     for k, ck in enumerate(data.components):
@@ -537,25 +549,18 @@ def _build_r6(data, cls, v, ts) -> RzmsMaxSubsemigroup:
 
     witness = (tuple(p.images for p in cls.representative.generators),
                tuple(group.elements[t].images for t in ts))
-    generators = tuple(_lemma_generators(data, v, ts))
+    v_gens = [index[p] for p in cls.representative.generators]
+    generators = tuple(_lemma_generators(data, v_gens, ts))
     return RzmsMaxSubsemigroup("R6", witness, generators, frozenset(element_set))
 
 
 def max_subsemigroups_rzms(rzms: ReesZeroMatrixSemigroup) -> list[RzmsMaxSubsemigroup]:
     """All maximal subsemigroups of a finite regular Rees 0-matrix
     semigroup over a group, deduplicated by element set."""
-    results = []
-    results.extend(max_r1_r2(rzms))
-    results.extend(max_r3_r4(rzms))
-    results.extend(max_r5(rzms))
-    results.extend(max_r6(rzms))
-    seen = set()
-    unique = []
-    for r in results:
-        if r.element_set not in seen:
-            seen.add(r.element_set)
-            unique.append(r)
-    return unique
+    unique = {}
+    for r in max_r1_r2(rzms) + max_r3_r4(rzms) + max_r5(rzms) + max_r6(rzms):
+        unique.setdefault(r.element_set, r)  # the first result per element set
+    return list(unique.values())
 
 
 def generating_set(rzms: ReesZeroMatrixSemigroup) -> list:

@@ -238,6 +238,64 @@ def closure_plain(sg, seed):
     return members
 
 
+def right_closure(gens, mul):
+    """The subsemigroup generated by ``gens`` under ``mul``, on payloads:
+    every element is a word over the generators, reached from its prefix
+    by one right multiplication.  Shares no code with the package."""
+    gens = list(dict.fromkeys(gens))
+    members = set(gens)
+    queue = list(gens)
+    while queue:
+        a = queue.pop()
+        for g in gens:
+            c = mul(a, g)
+            if c not in members:
+                members.add(c)
+                queue.append(c)
+    return members
+
+
+def compose(a, b):
+    """Image tuples composed left to right: apply a, then b."""
+    return tuple(b[x] for x in a)
+
+
+def cycle_images(text, degree):
+    """0-based images of 1-based cycle notation, cycles applied left to
+    right, "()" the identity."""
+    images = list(range(degree))
+    for body in text.replace(")", "(").split("("):
+        points = [int(tok) - 1 for tok in body.split()]
+        step = dict(zip(points, points[1:] + points[:1]))
+        images = [step.get(y, y) for y in images]
+    return tuple(images)
+
+
+class IntegerRees:
+    """M0[I, G, Lambda; P] from a CLI ``rzms`` input, with group elements
+    as image tuples and elements as 0 or (i, images, lam), 0-based.  An
+    outside model of the package's Rees semigroups: it shares no code
+    with them."""
+
+    def __init__(self, spec):
+        self.degree = spec["group_degree"]
+        self.matrix = [[None if e == "0" else cycle_images(e, self.degree) for e in row]
+                       for row in spec["matrix"]]
+
+    def element(self, out):
+        """The model element of a CLI element "0" or [i, cycles, -lambda]."""
+        if out == "0":
+            return 0
+        i, cycles, lam = out
+        return (i - 1, cycle_images(cycles, self.degree), -lam - 1)
+
+    def multiply(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        p = self.matrix[a[2]][b[0]]
+        return 0 if p is None else (a[0], compose(compose(a[1], p), b[1]), b[2])
+
+
 def monogenic(index, period):
     """<a | a^(index+period) = a^index> as a Cayley table on exponents."""
     n = index + period - 1

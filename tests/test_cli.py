@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+import support
 from maxsemi.cli import run
+from maxsemi.max_subsemigroups import max_subsemigroups
 from maxsemi.perm_group import Permutation
+from maxsemi.rees_matrix import max_subsemigroups_rzms
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -67,17 +70,26 @@ class TestMaximal:
         assert all(r["verified"] is True for r in entries)
         # pins the whole document, every verdict included
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7cf935f0891e241f297a3945db1640b10f28ad8751390ca1def279ffc16ac03b")
+            "616dfc5d4339272e2c0d602cc2c54a2b8fa72ac2137a3a7e6e9c15880a647efe")
 
-    def test_generators_regenerate_sizes(self):
-        doc = invoke_json(["maximal", W_INPUT])
-        import operator
+    def test_generators_regenerate_sizes(self, w_semigroup, s4_rzms):
+        # every generators array, closed by an outside model, gives the
+        # element set of the result it stands for, and so its size
+        def outside(path, element, mul):
+            doc = invoke_json(["maximal", path])
+            return {(r["type"], frozenset(support.right_closure(map(element, r["generators"]),
+                                                                mul)))
+                    for r in doc["maximal_subsemigroups"]}
 
-        from maxsemi.semigroup_core import Transformation, closure
-
-        for r in doc["maximal_subsemigroups"]:
-            gens = [Transformation.one_based(g) for g in r["generators"]]
-            assert closure(gens, operator.mul).size == r["size"]
+        w = {(r.type_tag, frozenset(w_semigroup.elements[e].images for e in r.element_indices))
+             for r in max_subsemigroups(w_semigroup)}
+        assert outside(W_INPUT, lambda g: tuple(x - 1 for x in g), support.compose) == w
+        with open(RZMS_INPUT) as f:
+            model = support.IntegerRees(json.load(f))
+        s4 = {(r.type_tag, frozenset(x if x == 0 else (x[0], x[1].images, x[2])
+                                     for x in r.element_set))
+              for r in max_subsemigroups_rzms(s4_rzms)}
+        assert outside(RZMS_INPUT, model.element, model.multiply) == s4
 
     def test_byte_identical_runs(self):
         a = invoke(["maximal", RZMS_INPUT])
@@ -256,7 +268,7 @@ class TestDot:
 # change here is a change to the byte-identical output contract
 DOCUMENT_DIGESTS = {
     ("maximal", "rzms_s4.json"):
-        "74dc57eedcc0e69266651e1e4cce2ee465288e2c74edcbb814829895b6a7b70d",
+        "daa93b59f0a03a49d55f59a07526d763f69f32c0f59c0f21c25ff52d97815b60",
     ("maximal", "w_t7.json"):
         "c87d78d93a7670c228d24ff4080f95a4eb29f0b7edba2cf5d2d135c4b4455cb9",
     ("analyze", "rzms_s4.json"):

@@ -203,10 +203,8 @@ class TestWExample:
         assert as_payloads == other_payloads
 
 
-class TestSynthesisFallback:
-    def test_bad_generators_fall_back_to_full_list(self, w_semigroup):
-        import warnings
-
+class TestSynthesisValidation:
+    def test_insufficient_generators_raise(self, w_semigroup):
         from maxsemi.max_subsemigroups import _finish
 
         gs = greens_structure(w_semigroup)
@@ -214,15 +212,10 @@ class TestSynthesisFallback:
         target = next(
             r.element_indices for r in max_subsemigroups(w_semigroup)
             if r.j_class == j)
-        # a deliberately insufficient generating set must be detected and
-        # replaced with the full element list
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            built = _finish(w_semigroup, j, "S3", None, target,
-                            [min(target)], ())
-        assert caught and "closure validation" in str(caught[0].message)
-        assert built.generators == tuple(sorted(target))
-        assert built.element_indices == target
+        # a deliberately insufficient generating set is an error, with no
+        # fallback to the full element list
+        with pytest.raises(AssertionError, match="type-S3"):
+            _finish(w_semigroup, j, "S3", None, target, [min(target)], ())
 
 
 class TestS1:

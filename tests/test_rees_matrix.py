@@ -413,6 +413,45 @@ class TestFullSearch:
         assert got == set(brute_force_maximal(sg).maximal)
 
 
+class TestDual:
+    # the dual M0[Lambda, G, I; Q], q_{i,lam} = p_{lam,i}^-1, is
+    # anti-isomorphic to R by f(i, g, lam) = (lam, g^-1, i): with
+    # a = (i, g, lam) and b = (k, h, mu), f(a b) = (mu, h^-1 p_{lam,k}^-1 g^-1, i)
+    # = f(b) f(a).  So f maps the maximal subsemigroups of R onto those of
+    # the dual, rows becoming columns: R3 and R4 swap, and so do the two
+    # halves (X, Y) of an R5 witness
+    SWAPPED = {"R3": "R4", "R4": "R3"}
+
+    @pytest.mark.parametrize("name", ["s4", "brandt-s3-3"])
+    def test_results_map_onto_the_duals(self, name, s4_rzms):
+        rzms = s4_rzms if name == "s4" else brandt(support.symmetric_group(3), 3)
+        dual = ReesZeroMatrixSemigroup(rzms.group, tuple(
+            tuple(None if row[i] is None else row[i].inverse() for row in rzms.matrix)
+            for i in range(rzms.num_cols)))
+
+        def flip(x):
+            return ZERO if x == ZERO else (x[2], x[1].inverse(), x[0])
+
+        def described(r, flipped):
+            # an R6 witness (subgroup and cosets) is not mapped here
+            witness = None if r.type_tag == "R6" else r.witness
+            if not flipped:
+                return r.type_tag, witness, r.element_set
+            return (self.SWAPPED.get(r.type_tag, r.type_tag), witness and witness[::-1],
+                    frozenset(map(flip, r.element_set)))
+
+        results = max_subsemigroups_rzms(rzms)
+        dual_results = max_subsemigroups_rzms(dual)
+        assert len(results) == len(dual_results)
+        assert ({described(r, True) for r in results}
+                == {described(r, False) for r in dual_results})
+        # on S4 the R3 and R4 counts differ, so a swap that failed would show
+        tags = Counter(r.type_tag for r in results)
+        assert tags["R5"] and tags["R6"] and (name != "s4" or (tags["R3"], tags["R4"]) == (5, 4))
+        assert all(support.right_closure(r.generators, dual.multiply) == r.element_set
+                   for r in dual_results)
+
+
 SMALL_GROUPS = [support.cyclic_group(1), support.cyclic_group(2),
                 support.cyclic_group(3), support.symmetric_group(3)]
 
@@ -442,9 +481,12 @@ def small_regular_rzms(draw):
 @given(small_regular_rzms())
 def test_search_matches_brute_force(rzms):
     sg = semigroup_from_rzms(rzms)
-    got = {frozenset(sg.index(x) for x in r.element_set)
-           for r in max_subsemigroups_rzms(rzms)}
+    results = max_subsemigroups_rzms(rzms)
+    got = {frozenset(sg.index(x) for x in r.element_set) for r in results}
     assert got == set(brute_force_maximal(sg).maximal)
+    # random zero patterns: each result's anchors exist and its generators suffice
+    assert all(support.right_closure(r.generators, rzms.multiply) == r.element_set
+               for r in results)
 
 
 class TestGeneratingSet:
