@@ -373,7 +373,7 @@ def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
     from .semigroup_core import TABLE_BOUND
 
     if sg.size <= TABLE_BOUND:
-        sg.table()  # the closure validations hit products densely
+        sg.table()  # closure validation, and later the oracle, read products densely
     gs = greens_structure(sg)
     gen_classes = sorted({gs.j_class[g] for g in sg.generator_indices})
     maximal_js = gs.maximal_j_classes()

@@ -280,9 +280,11 @@ def _subgroup(group: PermGroup, members: Sequence[int]) -> PermGroup:
                      tuple(e[k] for k in members))
 
 
-def _group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
-    """The group on ``elements``, a set closed under composition."""
-    bare = PermGroup(degree, (), tuple(sorted(elements)))
+def _group_from_table(degree: int, elements: Sequence[Permutation], products: list) -> PermGroup:
+    """The group on the sorted ``elements``, closed under composition,
+    whose multiplication table on positions is ``products``."""
+    bare = PermGroup(degree, (), tuple(elements))
+    bare.__dict__["mul_table"] = ({g: k for k, g in enumerate(bare.elements)}, products)
     group = _subgroup(bare, range(bare.order))
     group.__dict__["mul_table"] = bare.mul_table  # same elements, same table
     return group

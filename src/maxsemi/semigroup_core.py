@@ -5,8 +5,9 @@ payloads (transformations, Rees-matrix triples, or bare table indices)
 discovered by breadth-first closure of the generators.  The payload
 multiply must be associative.  It runs only in ``closure``, which records
 the right Cayley graph (every product a * g with a generator), and in
-``FiniteSemigroup.product`` on semigroups above ``TABLE_BOUND``; the
-multiplication table follows from that graph by integer lookups alone
+``FiniteSemigroup.product`` on semigroups above ``TABLE_BOUND``.  The left
+Cayley graph follows from the right one, and each row of the table is an
+earlier row gathered through the left graph, by integer lookups alone
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
 
 Subsemigroups generated by element indices all come from one walk,
@@ -15,14 +16,15 @@ given two-sided ideal unwalked: ``closure_of_indices`` is that walk with
 the empty ideal and ``span_at_or_above`` with the ideal of the elements
 not above a J-class.
 
-Green's relations are computed as strongly connected components of the
-one-sided Cayley graphs, which is valid in any finite semigroup by
-stability; the J order is the condensation of the two-sided Cayley graph.
+Green's relations are the strongly connected components of the right and
+left Cayley graphs, which is valid in any finite semigroup by stability;
+the J order is the condensation of the two graphs together.
 
 ``principal_factor_iso`` realises the Rees theorem concretely: a regular
 J-class is coordinatised as I x G x Lambda by fixing an idempotent e,
 choosing row representatives in R_i n L_e and column representatives in
-L_lam n R_e, and reading the structure matrix off their products.
+L_lam n R_e, and reading the structure matrix off their products.  The
+group H_e and its table come from the semigroup's products on H_e.
 Every coordinatisation is checked when it is built, at any size, by
 ``rees_matrix.check_iso``.
 """
@@ -31,16 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
 from .graphs import Digraph, _tarjan_sccs, digraph
-from .perm_group import Permutation, _group_from_elements
+from .perm_group import Permutation, _group_from_table
 from .rees_matrix import ReesZeroMatrixSemigroup, check_iso, generating_set, right_cover
 
 CLOSURE_BOUND = 100_000
 TABLE_BOUND = 2048
-_TABLE_BLOCK = 64  # table rows derived per pass of FiniteSemigroup.table
 
 
 @dataclass(frozen=True, order=True)
@@ -84,10 +86,11 @@ class FiniteSemigroup:
     ``elements`` is the payload list in discovery order and ``product``
     works on indices.  ``mul`` must be associative.  Semigroups come from
     ``closure``, which records the right Cayley graph, or from
-    ``from_table``, which has its table.  The full multiplication table is
-    materialised lazily, only below ``TABLE_BOUND`` elements, and derived
-    from the right Cayley graph without multiplying payloads; larger
-    semigroups multiply payloads in ``product``.
+    ``from_table``, which has its table.  ``cayley_graphs`` adds the left
+    graph lazily.  The full multiplication table is materialised lazily,
+    only below ``TABLE_BOUND`` elements, gathered row by row through the
+    left graph without multiplying payloads; larger semigroups multiply
+    payloads in ``product``.
     """
 
     def __init__(self, elements: Sequence, mul: Callable, generator_indices: Sequence[int]):
@@ -121,15 +124,33 @@ class FiniteSemigroup:
             return self._table[i][j]
         return self._index[self._mul(self.elements[i], self.elements[j])]
 
+    @cached_property
+    def cayley_graphs(self) -> tuple[list, list]:
+        """(right, left): ``right[k][a]`` is a * g_k and ``left[k][a]`` is
+        g_k * a, for the distinct generators g_k in order.  ``closure``
+        records the right graph and the left one follows by n * m lookups:
+        g_k * g_j is right[j][k], and associativity gives g_k * b =
+        (g_k * pre[b]) * g_last[b] with pre[b] < b.  A ``from_table``
+        semigroup reads both off its table: its generators' columns and rows.
+        """
+        if self._right is None:
+            rows, gens = self._table, list(dict.fromkeys(self.generator_indices))
+            return [[row[g] for row in rows] for g in gens], [rows[g] for g in gens]
+        right, m = self._right, len(self._right)
+        left = [[right[j][k] for j in range(m)] for k in range(m)]
+        for row in left:
+            for p, q in zip(self._pre[m:], self._last[m:]):
+                row.append(right[q][row[p]])
+        return right, left
+
     def table(self) -> list:
         """Full index-level multiplication table (only below TABLE_BOUND).
 
-        With b = pre[b] * g_last[b], associativity gives a * b =
-        (a * pre[b]) * g_last[b], so column b of the table is column
-        pre[b] mapped through the right Cayley graph of g_last[b]; the
-        column of generator k is that graph itself.  The columns are
-        filled for ``_TABLE_BLOCK`` rows at a time and transposed into
-        rows, so the table is never held twice.
+        With x = pre[x] * g_k, k = last[x], associativity gives x * b =
+        pre[x] * (g_k * b), so row x of the table is row pre[x] read at the
+        positions left[k], the left Cayley graph of g_k: one C-level
+        ``itemgetter`` gather per row, with pre[x] < x.  The row of
+        generator k is left[k] itself.
         """
         if self._table is None:
             if self.size > TABLE_BOUND:
@@ -139,17 +160,11 @@ class FiniteSemigroup:
                 )
             if self._right is None:
                 raise InputError("the table needs a semigroup built by closure or from_table")
-            right = self._right
-            m = len(right)
-            steps = [(p, right[k].__getitem__)
-                     for p, k in zip(self._pre[m:], self._last[m:])]
-            table = []
-            for start in range(0, self.size, _TABLE_BLOCK):
-                cols = [col[start:start + _TABLE_BLOCK] for col in right]
-                add = cols.append
-                for p, right_of_last in steps:
-                    add(list(map(right_of_last, cols[p])))
-                table.extend(map(list, zip(*cols)))
+            left = self.cayley_graphs[1]
+            gather = [itemgetter(*row) for row in left]
+            table = list(left)
+            for p, k in zip(self._pre[len(left):], self._last[len(left):]):
+                table.append(list(gather[k](table[p])))
             self._table = table
         return self._table
 
@@ -306,20 +321,12 @@ def _classes_from_partition(n: int, parts: Iterable[Iterable[int]]):
 
 def greens_structure(sg: FiniteSemigroup) -> GreensStructure:
     n = sg.size
-    gens = sg.generator_indices
-    right_adj: list[list[int]] = [[] for _ in range(n)]
-    left_adj: list[list[int]] = [[] for _ in range(n)]
-    both_adj: list[list[int]] = [[] for _ in range(n)]
-    for a in range(n):
-        for g in gens:
-            ag = sg.product(a, g)
-            ga = sg.product(g, a)
-            if ag != a:
-                right_adj[a].append(ag)
-                both_adj[a].append(ag)
-            if ga != a:
-                left_adj[a].append(ga)
-                both_adj[a].append(ga)
+    right, left = sg.cayley_graphs
+    # a's edges lead to its images under the generators, loops dropped
+    right_adj, left_adj = (
+        [[b for b in images if b != a] for a, images in enumerate(zip(*graph))]
+        for graph in (right, left))
+    both_adj = [r + l for r, l in zip(right_adj, left_adj)]
 
     r_class, r_classes = _classes_from_partition(n, _tarjan_sccs(n, right_adj))
     l_class, l_classes = _classes_from_partition(n, _tarjan_sccs(n, left_adj))
@@ -434,6 +441,8 @@ def group_h_class_as_permgroup(sg: FiniteSemigroup, h_class: Sequence[int]):
     Returns ``(group, to_perm, from_perm)`` where ``to_perm`` maps element
     indices to permutations of 0..|H|-1 and the correspondence is an
     isomorphism: ``to_perm[sg.product(a, b)] == to_perm[a] * to_perm[b]``.
+    The group's table is the semigroup's product on H, which the action
+    has already read, so no two permutations are multiplied.
     """
     members = sorted(h_class)
     if not any(sg.product(e, e) == e for e in members):
@@ -448,10 +457,13 @@ def group_h_class_as_permgroup(sg: FiniteSemigroup, h_class: Sequence[int]):
                 raise InputError("H-class is not closed under multiplication")
             images.append(pos[y])
         to_perm[h] = Permutation(tuple(images))
-    perms = frozenset(to_perm.values())
-    if len(perms) != len(members):
+    if len(set(to_perm.values())) != len(members):
         raise InputError("right-regular action is not faithful; not a group H-class")
-    group = _group_from_elements(len(members), perms)
+    # in the group's Permutation order; members[a] * members[b] is at images[a] of b
+    order = sorted(range(len(members)), key=lambda a: to_perm[members[a]])
+    rank = {a: r for r, a in enumerate(order)}
+    products = [[rank[to_perm[members[b]].images[a]] for b in order] for a in order]
+    group = _group_from_table(len(members), [to_perm[members[a]] for a in order], products)
     from_perm = {p: h for h, p in to_perm.items()}
     return group, to_perm, from_perm
 

@@ -10,6 +10,7 @@ import pytest
 
 from maxsemi import rees_matrix
 from maxsemi.errors import CapacityError, InputError
+from maxsemi.graphs import _tarjan_sccs
 from maxsemi.perm_group import (
     MaximalSubgroupClass,
     PermGroup,
@@ -110,9 +111,8 @@ def w_named_classes(sg, gs):
 
 # ---------------------------------------------------------------------------
 # Reference subgroup lattice: every subgroup, found by closing the cyclic
-# subgroups under pairwise joins, held as frozensets of Permutation.  Slow
-# (A5 takes about 2 400 closures, S5 well over a minute) but independent
-# of the integer kernel that maximal_subgroup_classes runs on.
+# subgroups under pairwise joins over the test's own integer table.
+# Independent of the integer kernel that maximal_subgroup_classes runs on.
 
 def _reference_group(degree, elements):
     """The group on ``elements``, generated greedily in element order."""
@@ -141,25 +141,44 @@ def is_subgroup(sub, group):
 def all_subgroups(group):
     """Every subgroup of ``group``, each exactly once, sorted by (order,
     element list): the cyclic subgroups, joined in pairs until no new
-    subgroup appears."""
-    degree = group.degree
-    cyclic = {generate_group(degree, [g]).element_set for g in group.elements}
-    subs = set(cyclic)
-    work = list(cyclic)
+    subgroup appears.  The joins close generators over an integer table
+    of the group's Permutation products; a subgroup is a bitmask over
+    element positions, kept with the generators it was closed from."""
+    elems = group.elements
+    n = len(elems)
+    index = {g: k for k, g in enumerate(elems)}
+    mul = [[index[a * b] for b in elems] for a in elems]
+    one = index[identity(group.degree)]
+
+    def generated(gens):
+        # the identity closed under right multiplication by gens
+        mask, queue = 1 << one, [one]
+        for a in queue:
+            row = mul[a]
+            for g in gens:
+                if not mask >> row[g] & 1:
+                    mask |= 1 << row[g]
+                    queue.append(row[g])
+        return mask
+
+    subs = {}  # bitmask -> generators
+    for g in range(n):
+        subs.setdefault(generated([g]), [g])
+    work = list(subs)
     while work:
         fresh = []
-        current = list(subs)
         for a in work:
-            for b in current:
-                if a <= b or b <= a:
+            for b, gens_b in list(subs.items()):
+                if a & b in (a, b):
                     continue
-                joined = generate_group(degree, list(a | b)).element_set
+                gens = subs[a] + gens_b
+                joined = generated(gens)
                 if joined not in subs:
-                    subs.add(joined)
+                    subs[joined] = gens
                     fresh.append(joined)
         work = fresh
-    ordered = sorted(subs, key=lambda s: (len(s), sorted(s)))
-    return [_reference_group(degree, s) for s in ordered]
+    sets = [sorted(elems[k] for k in range(n) if mask >> k & 1) for mask in subs]
+    return [_reference_group(group.degree, s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
 def conjugate_subgroup(sub, g):
@@ -253,6 +272,48 @@ def right_closure(gens, mul):
                 members.add(c)
                 queue.append(c)
     return members
+
+
+def payload_graphs(sg):
+    """(right, left) Cayley graphs of the distinct generators g_k by
+    payload products: right[k][a] is a * g_k and left[k][a] is g_k * a."""
+    elems, mul, index = sg.elements, sg._mul, sg.index
+    gens = [elems[g] for g in dict.fromkeys(sg.generator_indices)]
+    return ([[index(mul(a, g)) for a in elems] for g in gens],
+            [[index(mul(g, a)) for a in elems] for g in gens])
+
+
+def greens_by_products(sg):
+    """(R, L, H and J classes, J order edges, idempotents) from the product
+    loop greens_structure ran before it read the Cayley graphs: a * g and
+    g * a by payload products for every element a and generator g, and
+    a * a for the idempotents.  Classes are sorted tuples listed by least
+    member, as greens_structure numbers them."""
+    n, elems, mul, index = sg.size, sg.elements, sg._mul, sg.index
+    right_adj = [[] for _ in range(n)]
+    left_adj = [[] for _ in range(n)]
+    for a in range(n):
+        for g in sg.generator_indices:
+            ag, ga = index(mul(elems[a], elems[g])), index(mul(elems[g], elems[a]))
+            if ag != a:
+                right_adj[a].append(ag)
+            if ga != a:
+                left_adj[a].append(ga)
+    both_adj = [r + l for r, l in zip(right_adj, left_adj)]
+
+    def partition(parts):
+        return tuple(tuple(c) for c in sorted(map(sorted, parts)))
+
+    r, l, j = (partition(_tarjan_sccs(n, adj)) for adj in (right_adj, left_adj, both_adj))
+    class_of = [{v: k for k, c in enumerate(classes) for v in c} for classes in (r, l, j)]
+    pairs = {}
+    for v in range(n):
+        pairs.setdefault((class_of[0][v], class_of[1][v]), []).append(v)
+    h = partition(pairs.values())
+    j_of = class_of[2]
+    j_edges = {(j_of[a], j_of[b]) for a in range(n) for b in both_adj[a] if j_of[a] != j_of[b]}
+    idempotents = {e for e in range(n) if index(mul(elems[e], elems[e])) == e}
+    return r, l, h, j, j_edges, idempotents
 
 
 def compose(a, b):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from maxsemi import errors, rees_matrix
 from maxsemi.graphs import connected_components
-from maxsemi.oracle import SUBSET_ENUMERATION_BOUND, brute_force_maximal
+from maxsemi.oracle import SUBSET_ENUMERATION_BOUND, brute_force_maximal, verify_maximal
 from maxsemi.perm_group import Permutation, cycle_string, identity, parse_cycles
 from maxsemi.rees_matrix import (
     ReesZeroMatrixSemigroup,
@@ -456,15 +456,9 @@ SMALL_GROUPS = [support.cyclic_group(1), support.cyclic_group(2),
                 support.cyclic_group(3), support.symmetric_group(3)]
 
 
-@st.composite
-def small_regular_rzms(draw):
-    """A regular Rees 0-matrix semigroup over C1, C2, C3 or S3 with at most
-    16 elements.  Entries are drawn as zero or a group element; a row or
-    column left all zero then gets one drawn non-zero entry."""
-    group = draw(st.sampled_from(SMALL_GROUPS))
-    cap = (SUBSET_ENUMERATION_BOUND - 1) // group.order
-    rows = draw(st.integers(1, cap))
-    cols = draw(st.integers(1, cap // rows))
+def _regular_matrix(draw, group, rows, cols):
+    """Entries drawn as zero or a group element; a row or column left all
+    zero then gets one drawn non-zero entry."""
     element = st.sampled_from(group.elements)
     matrix = [[draw(st.one_of(st.none(), element)) for _ in range(cols)]
               for _ in range(rows)]
@@ -477,6 +471,25 @@ def small_regular_rzms(draw):
     return ReesZeroMatrixSemigroup(group, tuple(map(tuple, matrix)))
 
 
+@st.composite
+def small_regular_rzms(draw):
+    """A regular Rees 0-matrix semigroup over C1, C2, C3 or S3 with at most
+    16 elements."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    cap = (SUBSET_ENUMERATION_BOUND - 1) // group.order
+    rows = draw(st.integers(1, cap))
+    cols = draw(st.integers(1, cap // rows))
+    return _regular_matrix(draw, group, rows, cols)
+
+
+@st.composite
+def larger_regular_rzms(draw):
+    """A regular Rees 0-matrix semigroup over C2 or S3 with 3 to 5 rows and
+    columns: 19 to 151 elements, above the subset enumeration bound."""
+    group = draw(st.sampled_from([C2, SMALL_GROUPS[3]]))
+    return _regular_matrix(draw, group, draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(small_regular_rzms())
 def test_search_matches_brute_force(rzms):
@@ -487,6 +500,18 @@ def test_search_matches_brute_force(rzms):
     # random zero patterns: each result's anchors exist and its generators suffice
     assert all(support.right_closure(r.generators, rzms.multiply) == r.element_set
                for r in results)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(larger_regular_rzms())
+def test_larger_results_are_maximal_and_generated(rzms):
+    # on these sizes a result's generators no longer fill it by chance: a
+    # missing anchor group leaves H-classes out of their closure
+    sg = semigroup_from_rzms(rzms)
+    for r in max_subsemigroups_rzms(rzms):
+        members = frozenset(sg.index(x) for x in r.element_set)
+        assert verify_maximal(sg, members) == (True, "ok")
+        assert closure_of_indices(sg, [sg.index(x) for x in r.generators]) == members
 
 
 class TestGeneratingSet:

@@ -122,6 +122,90 @@ class TestTable:
         assert sg._table is not None
 
 
+def full_transformation_gens(n):
+    """A cycle, a transposition and a rank n-1 map, which generate T_n."""
+    return [Transformation(tuple((i + 1) % n for i in range(n))),
+            Transformation(tuple([1, 0] + list(range(2, n)))),
+            Transformation(tuple([0, 0] + list(range(2, n))))]
+
+
+def counting_mul():
+    """operator.mul on payloads, with a list that grows by one per call."""
+    calls = []
+
+    def mul(a, b):
+        calls.append(None)
+        return a * b
+
+    return mul, calls
+
+
+@pytest.fixture(scope="module")
+def graph_corpus(w_semigroup, s4_rzms, t6_semigroup):
+    """Semigroups whose Cayley graphs, table and Green's structure are
+    checked against payload products."""
+    a = Transformation((1, 2, 3, 0, 0))
+    b = Transformation((0, 0, 2, 3, 4))
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return [
+        ("W", w_semigroup),
+        ("S4 example", semigroup_from_rzms(s4_rzms)),
+        ("transform-t6", support.t6_semigroup()),
+        ("T_4", closure(full_transformation_gens(4), operator.mul)),
+        ("dual of W", from_table(list(zip(*w_semigroup.table())),
+                                 w_semigroup.generator_indices)),
+        ("one element", closure([Transformation((0, 0))], operator.mul)),
+        ("one element, from_table", from_table([[0]])),
+        ("one generator", closure([a], operator.mul)),
+        ("repeated generators", closure([b, a, b, a * b, a], operator.mul)),
+        ("Z6 generated by its last element", from_table(z6, generator_indices=[5])),
+        ("C4 with zero, generators [2, 0]", support.group_with_zero(4)),
+    ]
+
+
+class TestCayleyGraphs:
+    """The left Cayley graph, ``table()`` and the adjacency of
+    ``greens_structure`` come from the right Cayley graph by lookups; each
+    must equal its reference from payload products."""
+
+    def test_graphs(self, graph_corpus):
+        for name, sg in graph_corpus:
+            assert sg.cayley_graphs == support.payload_graphs(sg), name
+
+    def test_table(self, graph_corpus):
+        rng = random.Random(27)
+        for name, sg in graph_corpus:
+            table, mul, elems = sg.table(), sg._mul, sg.elements
+            assert len(table) == sg.size and all(type(row) is list for row in table), name
+            # every row of the small ones, 40 sampled rows of the large ones
+            for a in rng.sample(range(sg.size), min(sg.size, 40)):
+                assert table[a] == [sg.index(mul(elems[a], b)) for b in elems], (name, a)
+
+    def test_greens_structure(self, graph_corpus):
+        for name, sg in graph_corpus:
+            gs = greens_structure(sg)
+            got = (gs.r_classes, gs.l_classes, gs.h_classes, gs.j_classes,
+                   set(gs.j_order.edges), set(gs.idempotents))
+            assert got == support.greens_by_products(sg), name
+
+    def test_no_payload_products_after_closure(self):
+        # T_5 is above TABLE_BOUND, where sg.product multiplies payloads
+        mul, calls = counting_mul()
+        sg = closure(full_transformation_gens(5), mul)
+        assert sg.size == 3125 > semigroup_core.TABLE_BOUND
+        calls.clear()
+        sg.cayley_graphs
+        assert not calls
+        gs = greens_structure(sg)
+        assert len(calls) <= sg.size  # the idempotent tests a * a
+        assert len(gs.j_classes) == 5 and len(gs.idempotents) == 196
+        mul, calls = counting_mul()
+        sg = closure([Transformation.one_based(r) for r in support.T6_GENERATOR_ROWS], mul)
+        calls.clear()
+        sg.table()
+        assert not calls
+
+
 class TestFromTable:
     def test_one_bad_cell_in_300_elements_rejected(self):
         # Z_300 with a single corrupted product: only an exact check sees it
@@ -308,6 +392,31 @@ class TestGroupHClass:
                 if _power(p, k).is_identity())
             for p in group.elements)
         assert orders == sorted([1] + [2] * 9 + [3] * 8 + [4] * 6)
+
+
+    def test_group_table_from_the_semigroup(self, w_semigroup, s4_rzms, monkeypatch):
+        # the H-class group's table is the semigroup's product on H, so with
+        # the semigroup's table built the principal factor multiplies no
+        # permutations (Rees payload products would)
+        real = Permutation.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        for sg in (w_semigroup, semigroup_from_rzms(s4_rzms)):
+            sg.table()
+            gs = greens_structure(sg)
+            j = max(range(len(gs.j_classes)), key=lambda k: len(gs.j_classes[k]))
+            with monkeypatch.context() as mp:
+                mp.setattr(Permutation, "__mul__", counted)
+                group = principal_factor_iso(sg, gs, j).target.group
+            assert not calls
+            index, products = group.mul_table
+            assert list(group.elements) == sorted(group.elements)
+            assert products == [[index[a * b] for b in group.elements]
+                                for a in group.elements]
 
 
 def _power(p, k):
