@@ -242,6 +242,14 @@ def _bron_kerbosch(
         x |= bit
 
 
+def _check_vertex_count(n: int) -> None:
+    """The capacity check of ``maximal_independent_sets``, made before any graph."""
+    if n > INDEPENDENT_SET_VERTEX_BOUND:
+        raise CapacityError(f"independent-set enumeration supported up to "
+                            f"{INDEPENDENT_SET_VERTEX_BOUND} vertices, got {n}",
+                            bound=INDEPENDENT_SET_VERTEX_BOUND)
+
+
 def maximal_independent_sets(g: Graph, closure: Optional[Digraph] = None) -> list[frozenset]:
     """All maximal independent sets of ``g`` (maximal cliques of the
     complement), each exactly once, sorted.
@@ -253,12 +261,7 @@ def maximal_independent_sets(g: Graph, closure: Optional[Digraph] = None) -> lis
     under which every set is closed.
     """
     n = g.vertex_count
-    if n > INDEPENDENT_SET_VERTEX_BOUND:
-        raise CapacityError(
-            f"independent-set enumeration supported up to "
-            f"{INDEPENDENT_SET_VERTEX_BOUND} vertices, got {n}",
-            bound=INDEPENDENT_SET_VERTEX_BOUND,
-        )
+    _check_vertex_count(n)
     if closure is not None and closure.vertex_count != n:
         raise InputError("closure digraph must share the graph's vertex set")
     if n == 0:

@@ -10,8 +10,8 @@ the bipartite graphs Delta / Theta, and S6 removes the whole class when
 nothing else arose and Theta is edgeless.
 
 Generating sets follow the constructive descriptions item by item and are
-then validated by closure; a set that fails validation raises
-AssertionError.
+then validated by closure, at every size; a set that fails validation
+raises AssertionError.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from .graphs import (
     maximal_independent_sets,
     sources,
     strongly_connected_condensation,
+    _check_vertex_count,
 )
 from .perm_group import _check_search_order
 from .rees_matrix import RzmsMaxSubsemigroup, ZERO, max_r6, max_subsemigroups_rzms
 from .semigroup_core import (
+    TABLE_BOUND,
     FiniteSemigroup,
     GreensStructure,
     PrincipalFactorIso,
@@ -45,8 +47,8 @@ from .semigroup_core import (
     x_prime,
 )
 
-# _finish skips its check above this size; it stays while the benchmark's
-# trace (bench/tracing.py) reads it at call time to count the skips
+# nothing in this package reads this; it stays while the benchmark's
+# trace (bench/tracing.py) reads it at call time to count skipped checks
 VALIDATION_BOUND = 5000
 
 
@@ -157,8 +159,7 @@ def _finish(sg, j, tag, witness, expected, extra_gens, ideal_elems):
     makes the walk linear in the part above the ideal); raise
     AssertionError if they do not generate ``expected``."""
     gens = tuple(dict.fromkeys(list(extra_gens) + list(ideal_elems)))
-    if (sg.size <= VALIDATION_BOUND
-            and closure_with_ideal(sg, frozenset(ideal_elems), extra_gens) != expected):
+    if closure_with_ideal(sg, frozenset(ideal_elems), extra_gens) != expected:
         raise AssertionError(
             f"synthesised generators for a type-{tag} subsemigroup do not generate it")
     return MaximalSubsemigroup(
@@ -370,8 +371,6 @@ def _lift_rzms_result(sg, gs, j, pfi, rz: RzmsMaxSubsemigroup, tag=None):
 
 def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
     """All non-empty maximal subsemigroups of ``sg``."""
-    from .semigroup_core import TABLE_BOUND
-
     if sg.size <= TABLE_BOUND:
         sg.table()  # closure validation, and later the oracle, read products densely
     gs = greens_structure(sg)
@@ -396,11 +395,13 @@ def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
     return unique
 
 
-def _check_group_order(gs, j) -> None:
-    """Both branches below reach max_r6, whose maximal subgroup search has a
-    capacity bound on the group H-class of J; check it before the principal
-    factor is built.  Every H-class of a regular J-class has that order."""
+def _check_capacity(gs, j, vertices) -> None:
+    """Check the capacity bounds of the searches below before the principal
+    factor is built: max_r6 searches the group H-classes of J (every H-class
+    of a regular J-class has their order), and an independent-set search
+    runs on ``vertices`` vertices."""
     _check_search_order(len(gs.h_classes[gs.h_class[gs.j_classes[j][0]]]))
+    _check_vertex_count(vertices)
 
 
 def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
@@ -409,8 +410,9 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
             if sg.size > 1:  # in a one-element semigroup S \ J is empty
                 results.append(_without_class(sg, gs, j, "MAX-TRIVIAL"))
         else:
-            # a non-trivial maximal J-class of a finite semigroup is regular
-            _check_group_order(gs, j)
+            # a non-trivial maximal J-class of a finite semigroup is regular;
+            # max_r5 searches its Graham-Houghton graph, on its R- and L-classes
+            _check_capacity(gs, j, sum(len(set(ids)) for ids in zip(*elements_by_pair(gs, j))))
             pfi = principal_factor_iso(sg, gs, j)
             for rz in max_subsemigroups_rzms(pfi.target):
                 if rz.type_tag != "R2":  # R \ {0} lifts to S itself
@@ -429,7 +431,7 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
     if j_gens <= span:
         return  # every generator of J is recoverable from above
     jg = build_jclass_graphs(sg, gs, j, xp, span=span)
-    _check_group_order(gs, j)
+    _check_capacity(gs, j, jg.delta.vertex_count)  # max_s3 searches Delta
     pfi = principal_factor_iso(sg, gs, j)
     found = max_s2(sg, gs, j, xp, pfi)
     s3 = max_s3(sg, gs, j, jg)

@@ -3,11 +3,11 @@
 Elements live in a ``FiniteSemigroup`` as an indexed list of hashable
 payloads (transformations, Rees-matrix triples, or bare table indices)
 discovered by breadth-first closure of the generators.  The payload
-multiply must be associative.  It runs only in ``closure``, which records
-the right Cayley graph (every product a * g with a generator), and in
-``FiniteSemigroup.product`` on semigroups above ``TABLE_BOUND``.  The left
-Cayley graph follows from the right one, and each row of the table is an
-earlier row gathered through the left graph, by integer lookups alone
+multiply must be associative; it runs only in ``closure``, which records
+the right Cayley graph (every product a * g with a generator), and is not
+kept.  Later products are integer lookups: a * b walks a along b's
+word in the right graph, the left graph follows from the right one, and
+each table row is an earlier row gathered through the left graph
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
 
 Subsemigroups generated by element indices all come from one walk,
@@ -84,18 +84,16 @@ class FiniteSemigroup:
     """Indexed finite semigroup.
 
     ``elements`` is the payload list in discovery order and ``product``
-    works on indices.  ``mul`` must be associative.  Semigroups come from
+    works on indices; no payload multiply is kept.  Semigroups come from
     ``closure``, which records the right Cayley graph, or from
     ``from_table``, which has its table.  ``cayley_graphs`` adds the left
     graph lazily.  The full multiplication table is materialised lazily,
     only below ``TABLE_BOUND`` elements, gathered row by row through the
-    left graph without multiplying payloads; larger semigroups multiply
-    payloads in ``product``.
+    left graph; without it ``product`` walks the right graph.
     """
 
-    def __init__(self, elements: Sequence, mul: Callable, generator_indices: Sequence[int]):
+    def __init__(self, elements: Sequence, generator_indices: Sequence[int]):
         self.elements = tuple(elements)
-        self._mul = mul
         self.generator_indices = tuple(generator_indices)
         self._index = {x: k for k, x in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -104,7 +102,7 @@ class FiniteSemigroup:
         # the right Cayley graph, set by closure: _right[k][a] is the index
         # of a * g_k, where g_k is element k (the m distinct generators come
         # first), and every element b >= m is _pre[b] * g_(_last[b]) with
-        # _pre[b] < b (both are -1 on the generators)
+        # _pre[b] < b; on generator k, _pre is -1 and _last is k
         self._right: Optional[list] = None
         self._pre: Optional[list] = None
         self._last: Optional[list] = None
@@ -120,9 +118,19 @@ class FiniteSemigroup:
             raise InputError(f"{payload!r} is not an element of this semigroup") from None
 
     def product(self, i: int, j: int) -> int:
+        """i * j from the table once it is built.  Otherwise j = g_k0 g_k1 ...
+        g_kr, its word read back along ``_last`` and ``_pre``, and associativity
+        gives i * j = (...((i * g_k0) * g_k1)...) * g_kr in the right graph."""
         if self._table is not None:
             return self._table[i][j]
-        return self._index[self._mul(self.elements[i], self.elements[j])]
+        right, pre, last = self._right, self._pre, self._last
+        word = []
+        while j >= 0:
+            word.append(last[j])
+            j = pre[j]
+        for k in reversed(word):
+            i = right[k][i]
+        return i
 
     @cached_property
     def cayley_graphs(self) -> tuple[list, list]:
@@ -158,8 +166,6 @@ class FiniteSemigroup:
                     f"full table supported up to {TABLE_BOUND} elements, got {self.size}",
                     bound=TABLE_BOUND,
                 )
-            if self._right is None:
-                raise InputError("the table needs a semigroup built by closure or from_table")
             left = self.cayley_graphs[1]
             gather = [itemgetter(*row) for row in left]
             table = list(left)
@@ -167,9 +173,6 @@ class FiniteSemigroup:
                 table.append(list(gather[k](table[p])))
             self._table = table
         return self._table
-
-    def is_idempotent(self, i: int) -> bool:
-        return self.product(i, i) == i
 
     def __repr__(self):
         return f"FiniteSemigroup(size={self.size}, generators={len(self.generator_indices)})"
@@ -181,7 +184,7 @@ def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> Fin
     Elements are listed in breadth-first discovery order, so the result
     is deterministic for a fixed input order.  The walk multiplies every
     element by every distinct generator and keeps those products as the
-    right Cayley graph, from which ``FiniteSemigroup.table`` is derived.
+    right Cayley graph, from which every later product is derived.
     """
     if not gens:
         raise InputError("closure requires at least one generator")
@@ -196,7 +199,7 @@ def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> Fin
     gen_payloads = list(elements)
     right: list[list[int]] = [[] for _ in gen_payloads]
     pre = [-1] * len(gen_payloads)
-    last = [-1] * len(gen_payloads)
+    last = list(range(len(gen_payloads)))
     a = 0
     while a < len(elements):  # discovery order is breadth-first order
         x = elements[a]
@@ -213,7 +216,7 @@ def closure(gens: Sequence, mul: Callable, max_size: int = CLOSURE_BOUND) -> Fin
                 last.append(k)
             right[k].append(kb)
         a += 1
-    sg = FiniteSemigroup(elements, mul, [index[g] for g in gens])
+    sg = FiniteSemigroup(elements, [index[g] for g in gens])
     sg._right, sg._pre, sg._last = right, pre, last
     return sg
 
@@ -265,7 +268,7 @@ def from_table(
                 y = next(y for y in range(n) if xa_row[y] != x_row[row_a[y]])
                 raise InputError(f"table is not associative at ({x}, {a}, {y})")
 
-    sg = FiniteSemigroup(list(range(n)), times, generator_indices)
+    sg = FiniteSemigroup(list(range(n)), generator_indices)
     sg._table = rows
     return sg
 

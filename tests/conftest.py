@@ -14,8 +14,13 @@ def w_semigroup():
 
 
 @pytest.fixture(scope="session")
-def oracle_corpus():
-    return support.oracle_corpus()
+def oracle_corpus_with_multiplies():
+    return support.oracle_corpus_with_multiplies()
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus(oracle_corpus_with_multiplies):
+    return [(name, sg) for name, sg, _ in oracle_corpus_with_multiplies]
 
 
 @pytest.fixture(scope="session")

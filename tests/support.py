@@ -274,22 +274,29 @@ def right_closure(gens, mul):
     return members
 
 
-def payload_graphs(sg):
+def table_multiply(table):
+    """The multiply of a Cayley table: the payload multiply of a
+    semigroup that ``from_table`` builds from it."""
+    return lambda a, b: table[a][b]
+
+
+def payload_graphs(sg, mul):
     """(right, left) Cayley graphs of the distinct generators g_k by
-    payload products: right[k][a] is a * g_k and left[k][a] is g_k * a."""
-    elems, mul, index = sg.elements, sg._mul, sg.index
+    payload products under ``mul``: right[k][a] is a * g_k and left[k][a]
+    is g_k * a."""
+    elems, index = sg.elements, sg.index
     gens = [elems[g] for g in dict.fromkeys(sg.generator_indices)]
     return ([[index(mul(a, g)) for a in elems] for g in gens],
             [[index(mul(g, a)) for a in elems] for g in gens])
 
 
-def greens_by_products(sg):
+def greens_by_products(sg, mul):
     """(R, L, H and J classes, J order edges, idempotents) from the product
     loop greens_structure ran before it read the Cayley graphs: a * g and
-    g * a by payload products for every element a and generator g, and
-    a * a for the idempotents.  Classes are sorted tuples listed by least
-    member, as greens_structure numbers them."""
-    n, elems, mul, index = sg.size, sg.elements, sg._mul, sg.index
+    g * a by payload products under ``mul`` for every element a and
+    generator g, and a * a for the idempotents.  Classes are sorted tuples
+    listed by least member, as greens_structure numbers them."""
+    n, elems, index = sg.size, sg.elements, sg.index
     right_adj = [[] for _ in range(n)]
     left_adj = [[] for _ in range(n)]
     for a in range(n):
@@ -357,45 +364,62 @@ class IntegerRees:
         return 0 if p is None else (a[0], compose(compose(a[1], p), b[1]), b[2])
 
 
-def monogenic(index, period):
+def monogenic_table(index, period):
     """<a | a^(index+period) = a^index> as a Cayley table on exponents."""
     n = index + period - 1
 
     def reduce(k):
         return k if k <= n else ((k - index) % period) + index
 
-    table = [[reduce(i + j + 2) - 1 for j in range(n)] for i in range(n)]
-    return from_table(table, generator_indices=[0])
+    return [[reduce(i + j + 2) - 1 for j in range(n)] for i in range(n)]
+
+
+def monogenic(index, period):
+    return from_table(monogenic_table(index, period), generator_indices=[0])
+
+
+def zero_table(k):
+    """k elements, every product equal to element 0."""
+    return [[0] * k for _ in range(k)]
 
 
 def zero_semigroup(k):
-    """k elements, every product equal to element 0."""
-    table = [[0] * k for _ in range(k)]
-    return from_table(table, generator_indices=list(range(1, k)) or [0])
+    return from_table(zero_table(k), generator_indices=list(range(1, k)) or [0])
+
+
+def left_zero_table(k):
+    return [[i] * k for i in range(k)]
 
 
 def left_zero(k):
-    table = [[i] * k for i in range(k)]
-    return from_table(table)
+    return from_table(left_zero_table(k))
+
+
+def right_zero_table(k):
+    return [list(range(k)) for _ in range(k)]
 
 
 def right_zero(k):
-    table = [list(range(k)) for _ in range(k)]
-    return from_table(table)
+    return from_table(right_zero_table(k))
 
 
-def group_with_zero(n):
-    """Cyclic group of order n with a zero adjoined; generators are a
-    group generator and the zero."""
-    size = n + 1  # index 0 is the zero, indices 1..n the group
+def group_with_zero_table(n):
+    """Cyclic group of order n with a zero adjoined: index 0 is the zero,
+    indices 1..n the group."""
+    size = n + 1
 
     def mul(a, b):
         if a == 0 or b == 0:
             return 0
         return (a - 1 + b - 1) % n + 1
 
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
-    return from_table(table, generator_indices=[2 if n > 1 else 1, 0])
+    return [[mul(a, b) for b in range(size)] for a in range(size)]
+
+
+def group_with_zero(n):
+    """Cyclic group of order n with a zero adjoined; generators are a
+    group generator and the zero."""
+    return from_table(group_with_zero_table(n), generator_indices=[2 if n > 1 else 1, 0])
 
 
 def all_regular_matrices(group, n_rows, n_cols):
@@ -467,12 +491,9 @@ def reversed_transversals():
         yield
 
 
-def adjoin_identity_to_rzms(rzms):
-    """The Rees matrix semigroup with an identity adjoined, so that its
-    big J-class is no longer maximal."""
-    from maxsemi.rees_matrix import generating_set
-
-    gens = generating_set(rzms) + ["1"]
+def identity_adjoined_multiply(rzms):
+    """The multiply of the Rees matrix semigroup with an identity "1"
+    adjoined."""
 
     def mul(a, b):
         if a == "1":
@@ -481,20 +502,33 @@ def adjoin_identity_to_rzms(rzms):
             return a
         return rzms.multiply(a, b)
 
-    return closure(gens, mul)
+    return mul
 
 
-def oracle_corpus():
+def adjoin_identity_to_rzms(rzms):
+    """The Rees matrix semigroup with an identity adjoined, so that its
+    big J-class is no longer maximal."""
+    from maxsemi.rees_matrix import generating_set
+
+    return closure(generating_set(rzms) + ["1"], identity_adjoined_multiply(rzms))
+
+
+def oracle_corpus_with_multiplies():
     """The verification corpus: monogenic semigroups, tiny Rees matrix
     semigroups over C1 and C2 (plain and with an identity adjoined),
     random transformation semigroups, and the constant families.
-    Everything has at most 16 elements."""
+    Everything has at most 16 elements.  Each entry is (name, semigroup,
+    its payload multiply)."""
     from maxsemi.semigroup_core import semigroup_from_rzms
 
     corpus = []
+
+    def tabled(name, table, generator_indices=None):
+        corpus.append((name, from_table(table, generator_indices), table_multiply(table)))
+
     for index in range(1, 8):
         for period in range(1, 9 - index):
-            corpus.append((f"monogenic({index},{period})", monogenic(index, period)))
+            tabled(f"monogenic({index},{period})", monogenic_table(index, period), [0])
     for gname, group in (("C1", cyclic_group(1)), ("C2", cyclic_group(2))):
         for n_rows in (1, 2):
             for n_cols in (1, 2):
@@ -503,16 +537,16 @@ def oracle_corpus():
                     rzms = ReesZeroMatrixSemigroup(group, matrix)
                     corpus.append((
                         f"rzms-{gname}-{n_rows}x{n_cols}-{k}",
-                        semigroup_from_rzms(rzms),
+                        semigroup_from_rzms(rzms), rzms.multiply,
                     ))
                     corpus.append((
                         f"rzms1-{gname}-{n_rows}x{n_cols}-{k}",
-                        adjoin_identity_to_rzms(rzms),
+                        adjoin_identity_to_rzms(rzms), identity_adjoined_multiply(rzms),
                     ))
     for k, sg in enumerate(random_transformation_semigroups(3, 40, seed=101)):
-        corpus.append((f"randT3-{k}", sg))
+        corpus.append((f"randT3-{k}", sg, operator.mul))
     for k, sg in enumerate(random_transformation_semigroups(4, 40, seed=202)):
-        corpus.append((f"randT4-{k}", sg))
+        corpus.append((f"randT4-{k}", sg, operator.mul))
     rng = random.Random(909)
     trivial = cyclic_group(1)
     picked = 0
@@ -526,10 +560,11 @@ def oracle_corpus():
         except InputError:
             continue
         picked += 1
-        corpus.append((f"rzms-C1-3x3-{picked}", semigroup_from_rzms(rzms)))
-        corpus.append((f"rzms1-C1-3x3-{picked}", adjoin_identity_to_rzms(rzms)))
+        corpus.append((f"rzms-C1-3x3-{picked}", semigroup_from_rzms(rzms), rzms.multiply))
+        corpus.append((f"rzms1-C1-3x3-{picked}", adjoin_identity_to_rzms(rzms),
+                       identity_adjoined_multiply(rzms)))
     for k in range(2, 10):
-        corpus.append((f"zero-{k}", zero_semigroup(k)))
-        corpus.append((f"leftzero-{k}", left_zero(k)))
-        corpus.append((f"rightzero-{k}", right_zero(k)))
+        tabled(f"zero-{k}", zero_table(k), list(range(1, k)) or [0])
+        tabled(f"leftzero-{k}", left_zero_table(k))
+        tabled(f"rightzero-{k}", right_zero_table(k))
     return corpus

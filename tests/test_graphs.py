@@ -142,6 +142,12 @@ class TestMaximalIndependentSets:
         with pytest.raises(errors.CapacityError):
             maximal_independent_sets(graph(65, []))
 
+    def test_capacity_bound(self):
+        assert maximal_independent_sets(graph(64, [])) == [frozenset(range(64))]
+        with pytest.raises(errors.CapacityError, match="up to 64 vertices, got 65") as info:
+            maximal_independent_sets(graph(65, [(0, 64)]))
+        assert info.value.bound == 64
+
 
 def delta_example():
     """The 8-vertex bipartite graph and the reachability digraph from the

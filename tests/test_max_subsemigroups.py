@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -217,6 +219,19 @@ class TestSynthesisValidation:
         with pytest.raises(AssertionError, match="type-S3"):
             _finish(w_semigroup, j, "S3", None, target, [min(target)], ())
 
+    def test_validated_at_every_size(self):
+        # PT_5, as transformations of 6 points with point 5 a fixed sink,
+        # has 7 776 elements; results that large were once left unchecked
+        from maxsemi.max_subsemigroups import _finish
+
+        pt5 = closure([Transformation((1, 2, 3, 4, 0, 5)), Transformation((1, 0, 2, 3, 4, 5)),
+                       Transformation((0, 0, 2, 3, 4, 5)), Transformation((5, 1, 2, 3, 4, 5))],
+                      operator.mul)
+        assert pt5.size == 6 ** 5
+        units = list(pt5.generator_indices[:2])  # they generate S_5 alone
+        with pytest.raises(AssertionError, match="type-S1"):
+            _finish(pt5, 0, "S1", None, frozenset(range(pt5.size)), units, ())
+
 
 class TestS1:
     def test_monogenic_with_redundant_generator_gives_none(self):
@@ -386,6 +401,65 @@ class TestS6:
         assert all(r.type_tag != "S6" for r in w_results if r.j_class == j)
 
 
+def check_closed_form(n, expected, inverse):
+    """The maximal subsemigroups of S = T_n, or of S = I_n encoded as
+    transformations of n + 1 points with point n a fixed sink, for n >= 2,
+    are exactly S \\ J_{n-1} and (S \\ S_n) u K for each maximal subgroup K
+    of the group of units S_n; J_{n-1} is the rank n-1 layer.
+
+    Proof.  S_n and any one element of rank n - 1 generate S (Ganyushkin
+    and Mazorchuk, Classical Finite Transformation Semigroups, 2009), and
+    S \\ S_n is an ideal: a product has rank at most that of each factor.
+    Let M be maximal.  If M contains S_n, it misses all of J_{n-1}, so
+    M lies in S \\ J_{n-1}, which is a proper subsemigroup (ranks below
+    n - 1 form an ideal, and S_n is closed); so M = S \\ J_{n-1}.  If M
+    does not contain S_n, then M u (S \\ S_n) is a subsemigroup, because
+    S \\ S_n is an ideal, and a proper one, so it is M.  Then K = M n S_n
+    is a maximal subsemigroup of S_n, and in a finite group a subsemigroup
+    is a subgroup, so K is a maximal subgroup.  Conversely each of these
+    sets is closed, and adding any missing element generates S.
+
+    Each K is taken as R n S_n of a result R and checked by verify_maximal
+    on S_n itself; S_n has 1, 4, 8 and 22 maximal subgroups for n = 2..5.
+    Below n = 5 every result also passes verify_maximal; at n = 5 the
+    closed form is the stronger check.  Returns the results."""
+    sink = [n] if inverse else []
+    cyc = Transformation(tuple((i + 1) % n for i in range(n)) + tuple(sink))
+    swap = Transformation(tuple([1, 0] + list(range(2, n)) + sink))
+    # rank n - 1: 1 -> 0 in T_n, and 0 undefined (sent to the sink) in I_n
+    drop = Transformation(tuple([n] + list(range(1, n)) + sink) if inverse
+                          else tuple([0, 0] + list(range(2, n))))
+    s = closure([swap, cyc, drop], operator.mul)
+    assert s.size == (sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+                      if inverse else n ** n)
+    units_group = closure([cyc, swap], operator.mul)
+    assert units_group.size == math.factorial(n)
+
+    def rank(e):
+        return len(set(s.elements[e].images[:n]) - {n})
+
+    everything = frozenset(range(s.size))
+    units = frozenset(e for e in everything if rank(e) == n)
+    layer = frozenset(e for e in everything if rank(e) == n - 1)
+    assert units == frozenset(s.index(x) for x in units_group.elements)
+
+    results = max_subsemigroups(s)
+    got = [r.element_indices for r in results]
+    ks = {frozenset(units_group.index(s.elements[e]) for e in m & units)
+          for m in got} - {frozenset(range(units_group.size))}
+    assert len(ks) == {2: 1, 3: 4, 4: 8, 5: 22}[n] == expected - 1
+    for k in ks:
+        assert verify_maximal(units_group, k) == (True, "ok")
+    closed_form = {everything - layer} | {
+        (everything - units) | {s.index(units_group.elements[x]) for x in k} for k in ks}
+    assert len(got) == len(set(got)) == expected
+    assert set(got) == closed_form
+    if n < 5:
+        for r in results:
+            assert verify_maximal(s, r.element_indices) == (True, "ok"), r.type_tag
+    return results
+
+
 class TestDispatch:
     def test_trivial_semigroup_empty(self):
         sg = from_table([[0]])
@@ -413,33 +487,37 @@ class TestDispatch:
         with pytest.raises(CapacityError, match="J-class 0"):
             max_subsemigroups(sg)
 
-    @pytest.mark.parametrize("n,expected", [(3, 5), (4, 9)])
+    def test_independent_set_bound_before_principal_factor(self, monkeypatch):
+        # the 17 x 48 rectangular band (i, lam)(j, mu) = (i, mu), which is
+        # the Rees matrix semigroup over the trivial group with every
+        # matrix entry non-zero, minus its zero: one J-class, whose
+        # Graham-Houghton graph has 17 + 48 = 65 vertices, one above the bound
+        from maxsemi.errors import CapacityError
+
+        sg = closure([(k % 17, k) for k in range(48)], lambda a, b: (a[0], b[1]))
+        assert sg.size == 17 * 48
+
+        def not_reached(*args):
+            raise AssertionError("principal_factor_iso ran before the capacity check")
+
+        monkeypatch.setattr(sys.modules["maxsemi.max_subsemigroups"],
+                            "principal_factor_iso", not_reached)
+        with pytest.raises(CapacityError, match="up to 64 vertices, got 65") as info:
+            max_subsemigroups(sg)
+        assert info.value.bound == 64
+
+    @pytest.mark.parametrize("n,expected", [(2, 2), (3, 5), (4, 9), (5, 23)])
     def test_full_transformation_monoid(self, n, expected):
-        # T_n has one maximal subsemigroup per maximal subgroup of S_n
-        # (counted with conjugates: 1 + 3 for S3, 1 + 3 + 4 for S4) plus
-        # the one that removes the whole rank-(n-1) layer
-        import operator
-
-        from maxsemi.semigroup_core import Transformation
-
-        cyc = Transformation(tuple((i + 1) % n for i in range(n)))
-        swap = Transformation(tuple([1, 0] + list(range(2, n))))
-        drop = Transformation(tuple([0, 0] + list(range(2, n))))
-        t = closure([swap, cyc, drop], operator.mul)
-        assert t.size == n ** n
-        results = max_subsemigroups(t)
+        # T_5 (3 125 elements) has no table, so its products walk words
+        results = check_closed_form(n, expected, inverse=False)
         counts = Counter(r.type_tag for r in results)
-        assert len(results) == expected
         assert counts["S6"] == 1
         assert counts["MAX-R6"] == expected - 1
-        s6 = next(r for r in results if r.type_tag == "S6")
-        gs = greens_structure(t)
-        rank_n1 = {e for e in range(t.size)
-                   if len(set(t.elements[e].images)) == n - 1}
-        assert s6.element_indices == frozenset(range(t.size)) - rank_n1
-        for r in results:
-            ok, msg = verify_maximal(t, r.element_indices)
-            assert ok, (r.type_tag, msg)
+
+    @pytest.mark.parametrize("n,expected", [(2, 2), (3, 5), (4, 9), (5, 23)])
+    def test_symmetric_inverse_monoid(self, n, expected):
+        # I_5 has 1 546 elements, so its products read the table
+        check_closed_form(n, expected, inverse=True)
 
     def test_c3_rees_matrices_against_oracle(self):
         # 2x2 structure matrices over C3 give non-trivial component
@@ -579,6 +657,40 @@ class TestAboveBruteForceBound:
                         for r in results})
             for r in dual_results:
                 assert verify_maximal(dual, r.element_indices) == (True, "ok")
+
+    @pytest.mark.parametrize("name", ["W", "T_4"])
+    def test_generator_independence(self, name, w_semigroup):
+        # the answer depends only on S, though the search reads the
+        # generators (X', the spans, the J-classes holding a generator);
+        # types may differ, because X' does
+        if name == "W":
+            sg = w_semigroup
+        else:
+            cyc, swap = Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3))
+            sg = closure([cyc, swap, Transformation((0, 0, 2, 3))], operator.mul)
+        table, gens = sg.table(), list(sg.generator_indices)
+        with_products = gens + [table[gens[0]][gens[1]], table[gens[1]][gens[0]]]
+
+        def irredundant(order):
+            # drop each generator of with_products in turn, if the rest
+            # still generate S
+            kept = list(with_products)
+            for k in order:
+                rest = [g for g in kept if g != with_products[k]]
+                if len(closure_of_indices(sg, rest)) == sg.size:
+                    kept = rest
+            return kept
+
+        from_the_end = irredundant(reversed(range(len(with_products))))
+        from_the_start = irredundant(range(len(with_products)))
+        # both given sets are irredundant already; from the start, T_4
+        # trades its cycle for a product
+        assert from_the_end == gens
+        assert from_the_start == (gens if name == "W" else [1, 2, 6])
+        expected = {r.element_indices for r in max_subsemigroups(sg)}
+        for other in (with_products, from_the_end, from_the_start):
+            got = {r.element_indices for r in max_subsemigroups(from_table(table, other))}
+            assert got == expected, other
 
     def test_relabelling_t6(self, t6_semigroup):
         # conjugating the generators by a permutation p of the points is an

@@ -5,6 +5,8 @@ import pytest
 
 import support
 from maxsemi import errors, semigroup_core
+from maxsemi.max_subsemigroups import max_subsemigroups
+from maxsemi.oracle import verify_maximal
 from maxsemi.perm_group import Permutation
 from maxsemi.semigroup_core import (
     Transformation,
@@ -76,9 +78,9 @@ class TestTable:
     """``table()`` is derived from the right Cayley graph that ``closure``
     records; it must equal the table of payload products."""
 
-    def test_oracle_corpus(self, oracle_corpus):
-        for name, sg in oracle_corpus:
-            assert sg.table() == payload_table(sg, sg._mul), name
+    def test_oracle_corpus(self, oracle_corpus_with_multiplies):
+        for name, sg, mul in oracle_corpus_with_multiplies:
+            assert sg.table() == payload_table(sg, mul), name
 
     @pytest.mark.parametrize("degree,seed", [(3, 101), (4, 202), (5, 303)])
     def test_random_transformation_semigroups(self, degree, seed):
@@ -102,7 +104,7 @@ class TestTable:
                      support.brandt(support.cyclic_group(4), 2)):
             sg = support.adjoin_identity_to_rzms(rzms)
             assert sg._table is None
-            assert sg.table() == payload_table(sg, sg._mul)
+            assert sg.table() == payload_table(sg, support.identity_adjoined_multiply(rzms))
 
     def test_repeated_and_redundant_generators(self):
         a = Transformation((1, 2, 3, 0, 0))
@@ -140,26 +142,40 @@ def counting_mul():
     return mul, calls
 
 
+def repeated_generators():
+    a = Transformation((1, 2, 3, 0, 0))
+    b = Transformation((0, 0, 2, 3, 4))
+    return closure([b, a, b, a * b, a], operator.mul)
+
+
+def one_element():
+    return closure([Transformation((0, 0))], operator.mul)
+
+
 @pytest.fixture(scope="module")
 def graph_corpus(w_semigroup, s4_rzms, t6_semigroup):
     """Semigroups whose Cayley graphs, table and Green's structure are
-    checked against payload products."""
-    a = Transformation((1, 2, 3, 0, 0))
-    b = Transformation((0, 0, 2, 3, 4))
+    checked against payload products: (name, semigroup, its payload
+    multiply).  A ``from_table`` semigroup's multiply is its input table."""
+    w_dual = [list(col) for col in zip(*payload_table(w_semigroup, operator.mul))]
     z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    c4_zero = support.group_with_zero_table(4)
     return [
-        ("W", w_semigroup),
-        ("S4 example", semigroup_from_rzms(s4_rzms)),
-        ("transform-t6", support.t6_semigroup()),
-        ("T_4", closure(full_transformation_gens(4), operator.mul)),
-        ("dual of W", from_table(list(zip(*w_semigroup.table())),
-                                 w_semigroup.generator_indices)),
-        ("one element", closure([Transformation((0, 0))], operator.mul)),
-        ("one element, from_table", from_table([[0]])),
-        ("one generator", closure([a], operator.mul)),
-        ("repeated generators", closure([b, a, b, a * b, a], operator.mul)),
-        ("Z6 generated by its last element", from_table(z6, generator_indices=[5])),
-        ("C4 with zero, generators [2, 0]", support.group_with_zero(4)),
+        ("W", w_semigroup, operator.mul),
+        ("S4 example", semigroup_from_rzms(s4_rzms), s4_rzms.multiply),
+        ("transform-t6", support.t6_semigroup(), operator.mul),
+        ("T_4", closure(full_transformation_gens(4), operator.mul), operator.mul),
+        ("dual of W", from_table(w_dual, w_semigroup.generator_indices),
+         support.table_multiply(w_dual)),
+        ("one element", one_element(), operator.mul),
+        ("one element, from_table", from_table([[0]]), support.table_multiply([[0]])),
+        ("one generator", closure([Transformation((1, 2, 3, 0, 0))], operator.mul),
+         operator.mul),
+        ("repeated generators", repeated_generators(), operator.mul),
+        ("Z6 generated by its last element", from_table(z6, generator_indices=[5]),
+         support.table_multiply(z6)),
+        ("C4 with zero, generators [2, 0]", from_table(c4_zero, generator_indices=[2, 0]),
+         support.table_multiply(c4_zero)),
     ]
 
 
@@ -169,36 +185,59 @@ class TestCayleyGraphs:
     must equal its reference from payload products."""
 
     def test_graphs(self, graph_corpus):
-        for name, sg in graph_corpus:
-            assert sg.cayley_graphs == support.payload_graphs(sg), name
+        for name, sg, mul in graph_corpus:
+            assert sg.cayley_graphs == support.payload_graphs(sg, mul), name
 
     def test_table(self, graph_corpus):
         rng = random.Random(27)
-        for name, sg in graph_corpus:
-            table, mul, elems = sg.table(), sg._mul, sg.elements
+        for name, sg, mul in graph_corpus:
+            table, elems = sg.table(), sg.elements
             assert len(table) == sg.size and all(type(row) is list for row in table), name
             # every row of the small ones, 40 sampled rows of the large ones
             for a in rng.sample(range(sg.size), min(sg.size, 40)):
                 assert table[a] == [sg.index(mul(elems[a], b)) for b in elems], (name, a)
 
     def test_greens_structure(self, graph_corpus):
-        for name, sg in graph_corpus:
+        for name, sg, mul in graph_corpus:
             gs = greens_structure(sg)
             got = (gs.r_classes, gs.l_classes, gs.h_classes, gs.j_classes,
                    set(gs.j_order.edges), set(gs.idempotents))
-            assert got == support.greens_by_products(sg), name
+            assert got == support.greens_by_products(sg, mul), name
+
+    def test_products_walk_the_right_graph(self):
+        # no table: T_5 is above TABLE_BOUND, and the two small ones are
+        # checked before anything builds theirs
+        t5 = closure(full_transformation_gens(5), operator.mul)
+        assert t5.size == 3125 > semigroup_core.TABLE_BOUND
+        rng = random.Random(29)
+        gens = sorted(set(t5.generator_indices))
+        t5_pairs = [(rng.randrange(t5.size), rng.randrange(t5.size)) for _ in range(2000)]
+        t5_pairs += [p for a in range(t5.size) for g in gens for p in ((a, g), (g, a))]
+        cases = [(t5, t5_pairs)] + [
+            (sg, [(a, b) for a in range(sg.size) for b in range(sg.size)])
+            for sg in (repeated_generators(), one_element())]
+        for sg, pairs in cases:
+            elems = sg.elements
+            for a, b in pairs:
+                assert sg.product(a, b) == sg.index(elems[a] * elems[b]), (sg, a, b)
+            assert sg._table is None
 
     def test_no_payload_products_after_closure(self):
-        # T_5 is above TABLE_BOUND, where sg.product multiplies payloads
+        # T_5 is above TABLE_BOUND, where sg.product walks the right
+        # Cayley graph instead of reading a table
         mul, calls = counting_mul()
         sg = closure(full_transformation_gens(5), mul)
         assert sg.size == 3125 > semigroup_core.TABLE_BOUND
         calls.clear()
         sg.cayley_graphs
-        assert not calls
         gs = greens_structure(sg)
-        assert len(calls) <= sg.size  # the idempotent tests a * a
         assert len(gs.j_classes) == 5 and len(gs.idempotents) == 196
+        results = max_subsemigroups(sg)
+        assert len(results) == 23
+        # the largest result: (T_5 \ S_5) u A_5
+        assert verify_maximal(sg, max(results, key=lambda r: r.size).element_indices) == (
+            True, "ok")
+        assert not calls
         mul, calls = counting_mul()
         sg = closure([Transformation.one_based(r) for r in support.T6_GENERATOR_ROWS], mul)
         calls.clear()
