@@ -155,8 +155,8 @@ def build_jclass_graphs(
 
 def _finish(sg, j, tag, witness, expected, extra_gens, ideal_elems):
     """Assemble a MaximalSubsemigroup, validating the synthesised
-    generators by closure (with the strictly-below ideal split off, which
-    makes the walk linear in the part above the ideal); raise
+    generators by closure, at every size: one frontier-at-once walk over
+    the part above the strictly-below ideal, which is split off; raise
     AssertionError if they do not generate ``expected``."""
     gens = tuple(dict.fromkeys(list(extra_gens) + list(ideal_elems)))
     if closure_with_ideal(sg, frozenset(ideal_elems), extra_gens) != expected:
@@ -213,8 +213,7 @@ def max_s2(sg, gs, j, xp, pfi: PrincipalFactorIso) -> list[MaximalSubsemigroup]:
             ex = sg.product(e, x)
             if gs.j_class[ex] == j:
                 required.add(pfi.forward[ex])
-    return [_lift_rzms_result(sg, gs, j, pfi, rz, "S2")
-            for rz in max_r6(pfi.target, required_subset=required)]
+    return _lift_rzms_results(sg, gs, j, pfi, max_r6(pfi.target, required_subset=required), "S2")
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +358,15 @@ def max_s6(sg, gs, j, jg: JClassGraphs, found_any: bool) -> Optional[MaximalSubs
 # ---------------------------------------------------------------------------
 # the full dispatch
 
-def _lift_rzms_result(sg, gs, j, pfi, rz: RzmsMaxSubsemigroup, tag=None):
-    """Lift a Rees-matrix result on the principal factor of J, tagged
-    ``tag`` or else MAX- and the Rees type."""
-    kept = frozenset(pfi.backward[t] for t in rz.element_set if t != ZERO)
-    expected = _complement_elements(sg, gs, j) | kept
-    extra = _gens_outside_j(sg, gs, j) + [pfi.backward[t] for t in rz.generators if t != ZERO]
-    return _finish(sg, j, tag or "MAX-" + rz.type_tag, rz.witness, expected, extra,
-                   ideal_below_generators(sg, gs, j))
+def _lift_rzms_results(sg, gs, j, pfi, rzs: list[RzmsMaxSubsemigroup], tag=None):
+    """Lift Rees-matrix results on the principal factor of J, tagged ``tag``
+    or else MAX- and the Rees type; what J's results share is built once."""
+    outside, gens = _complement_elements(sg, gs, j), _gens_outside_j(sg, gs, j)
+    ideal, back = ideal_below_generators(sg, gs, j), pfi.backward
+    return [_finish(sg, j, tag or "MAX-" + rz.type_tag, rz.witness,
+                    outside | {back[t] for t in rz.element_set if t != ZERO},
+                    gens + [back[t] for t in rz.generators if t != ZERO], ideal)
+            for rz in rzs]
 
 
 def max_subsemigroups(sg: FiniteSemigroup) -> list[MaximalSubsemigroup]:
@@ -414,9 +414,8 @@ def _dispatch_jclass(sg, gs, j, maximal_js, results) -> None:
             # max_r5 searches its Graham-Houghton graph, on its R- and L-classes
             _check_capacity(gs, j, sum(len(set(ids)) for ids in zip(*elements_by_pair(gs, j))))
             pfi = principal_factor_iso(sg, gs, j)
-            for rz in max_subsemigroups_rzms(pfi.target):
-                if rz.type_tag != "R2":  # R \ {0} lifts to S itself
-                    results.append(_lift_rzms_result(sg, gs, j, pfi, rz))
+            results += _lift_rzms_results(sg, gs, j, pfi, [  # R \ {0} lifts to S itself
+                rz for rz in max_subsemigroups_rzms(pfi.target) if rz.type_tag != "R2"])
         return
 
     xp = x_prime(sg, gs, j)

@@ -14,7 +14,8 @@ Subsemigroups generated by element indices all come from one walk,
 ``closure_with_ideal``, which multiplies on the right only and leaves a
 given two-sided ideal unwalked: ``closure_of_indices`` is that walk with
 the empty ideal and ``span_at_or_above`` with the ideal of the elements
-not above a J-class.
+not above a J-class.  It multiplies a whole frontier at once, reading
+table rows or each factor's word once, and makes no per-pair ``product``.
 
 Green's relations are the strongly connected components of the right and
 left Cayley graphs, which is valid in any finite semigroup by stability;
@@ -117,19 +118,23 @@ class FiniteSemigroup:
         except KeyError:
             raise InputError(f"{payload!r} is not an element of this semigroup") from None
 
-    def product(self, i: int, j: int) -> int:
-        """i * j from the table once it is built.  Otherwise j = g_k0 g_k1 ...
-        g_kr, its word read back along ``_last`` and ``_pre``, and associativity
-        gives i * j = (...((i * g_k0) * g_k1)...) * g_kr in the right graph."""
-        if self._table is not None:
-            return self._table[i][j]
+    def _word(self, j: int) -> list:
+        """The right-graph columns along j's word.  j = g_k0 g_k1 ... g_kr is
+        read back along ``_last`` and ``_pre``, and associativity gives i * j =
+        (...((i * g_k0) * g_k1)...) * g_kr: columns k0, ..., kr in order."""
         right, pre, last = self._right, self._pre, self._last
         word = []
         while j >= 0:
-            word.append(last[j])
+            word.append(right[last[j]])
             j = pre[j]
-        for k in reversed(word):
-            i = right[k][i]
+        return word[::-1]
+
+    def product(self, i: int, j: int) -> int:
+        """i * j from the table once it is built, otherwise along j's word."""
+        if self._table is not None:
+            return self._table[i][j]
+        for col in self._word(j):
+            i = col[i]
         return i
 
     @cached_property
@@ -401,19 +406,33 @@ def closure_with_ideal(
     only: every word x1...xk is reached through its prefixes, and a prefix
     that falls into the ideal keeps the whole word there, so the closure
     is exactly ideal u <extra minus ideal> and only that part is walked.
+    Each step multiplies the whole frontier by every factor in C-level
+    builtins: the frontier's table rows through one ``itemgetter`` over
+    the factors or, without the table, the frontier mapped along each
+    factor's word, read once per walk.  Every walked element is a factor
+    or a * g, with a walked and g a factor, so any order of the products
+    visits the same set.
     """
     gens = [g for g in dict.fromkeys(extra) if g not in ideal]
-    members = set(gens)
-    queue = list(gens)
-    while queue:
-        frontier = []
-        for a in queue:
-            for g in gens:
-                b = sg.product(a, g)
-                if b not in members and b not in ideal:
-                    members.add(b)
-                    frontier.append(b)
-        queue = frontier
+    if not gens:
+        return frozenset(ideal)
+    members, frontier, rows = set(gens), set(gens), sg._table
+    if rows is not None:
+        get = itemgetter(*gens, gens[0])  # two keys or more: always a tuple
+    else:
+        words = [sg._word(g) for g in gens]
+    while frontier:
+        if rows is not None:
+            reached = set().union(*map(get, map(rows.__getitem__, frontier)))
+        else:
+            reached = set()
+            for word in words:
+                vals = frontier
+                for col in word:
+                    vals = map(col.__getitem__, vals)
+                reached.update(vals)
+        frontier = reached.difference(members, ideal)
+        members |= frontier
     return frozenset(members) | ideal
 
 

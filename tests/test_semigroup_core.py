@@ -579,20 +579,33 @@ class TestIdealBelowAndXPrime:
 class TestClosureWithIdeal:
     # the reference is support.closure_plain, a two-sided closure, which stays
     # independent of the right-only walk
-    def test_matches_plain_closure(self, oracle_corpus):
+    @staticmethod
+    def _rebuilt(corpus):
+        """Every corpus semigroup rebuilt by closure, so it has no table yet
+        and the walk reads each factor's word until ``table()`` is called."""
+        for name, sg, mul in corpus:
+            yield name, closure([sg.elements[g] for g in sg.generator_indices], mul)
+
+    def test_matches_plain_closure(self, oracle_corpus_with_multiplies):
         # splitting a two-sided ideal out of the generating set must give
-        # exactly the subsemigroup the plain walk produces
+        # exactly the subsemigroup the plain walk produces, along the
+        # factors' words and again from the table rows
         from maxsemi.semigroup_core import closure_with_ideal
 
         rng = random.Random(12)
-        for _, sg in rng.sample(oracle_corpus, 30):
+        for name, sg in self._rebuilt(oracle_corpus_with_multiplies):
             gs = greens_structure(sg)
-            for j in range(len(gs.j_classes)):
-                ideal = ideal_below_generators(sg, gs, j)
-                extra = rng.sample(range(sg.size), rng.randint(1, sg.size))
-                got = closure_with_ideal(sg, frozenset(ideal), extra)
-                want = support.closure_plain(sg, list(extra) + list(ideal))
-                assert got == want
+            ideals = [frozenset(ideal_below_generators(sg, gs, j))
+                      for j in range(len(gs.j_classes))]
+            cases = [(ideal, rng.sample(range(sg.size), rng.randint(1, sg.size)))
+                     for ideal in ideals]
+            wants = [support.closure_plain(sg, list(extra) + list(ideal))
+                     for ideal, extra in cases]
+            for table_built in (False, True):
+                assert (sg._table is not None) == table_built, name
+                for (ideal, extra), want in zip(cases, wants):
+                    assert closure_with_ideal(sg, ideal, extra) == want, (name, table_built)
+                sg.table()
 
     def test_empty_ideal(self, oracle_corpus):
         from maxsemi.semigroup_core import closure_with_ideal
@@ -614,6 +627,85 @@ class TestClosureWithIdeal:
                     want = {e for e in support.closure_plain(sg, gens)
                             if j in gs.j_reach[gs.j_class[e]]}
                     assert span_at_or_above(sg, gs, j, gens) == want
+
+    def test_edge_cases(self, oracle_corpus_with_multiplies):
+        from maxsemi.semigroup_core import closure_with_ideal
+
+        for name, sg in self._rebuilt(oracle_corpus_with_multiplies):
+            gs = greens_structure(sg)
+            for _ in range(2):  # along the words, then from the table rows
+                for j in range(len(gs.j_classes)):
+                    ideal = frozenset(ideal_below_generators(sg, gs, j))
+                    for e in ideal:  # every extra inside the ideal: no walk
+                        assert closure_with_ideal(sg, ideal, [e, e]) is ideal
+                    for e in range(sg.size):  # one factor, given once or repeated
+                        want = support.closure_plain(sg, [e] + list(ideal))
+                        assert closure_with_ideal(sg, ideal, [e]) == want, name
+                        assert closure_with_ideal(sg, ideal, [e, e, e]) == want, name
+                sg.table()
+
+    def test_long_words_without_table(self):
+        # T_5 is above TABLE_BOUND, and its elements have words of up to
+        # several letters; the elements of rank at most 2 form an ideal
+        from maxsemi.semigroup_core import closure_with_ideal
+
+        t5 = closure(full_transformation_gens(5), operator.mul)
+        assert t5.size > semigroup_core.TABLE_BOUND
+        assert max(len(t5._word(e)) for e in range(t5.size)) >= 8
+        low = frozenset(e for e, x in enumerate(t5.elements) if x.rank() <= 2)
+        rng = random.Random(15)
+        for _ in range(8):
+            extra = rng.sample(range(t5.size), rng.randint(1, 3))
+            got = support.right_closure([t5.elements[e] for e in extra], operator.mul)
+            want = frozenset(map(t5.index, got))
+            assert closure_with_ideal(t5, frozenset(), extra) == want
+            assert closure_with_ideal(t5, low, extra) == want | low
+        assert t5._table is None
+
+    def test_reads_each_row_above_the_ideal_once(self):
+        # the walk is linear in the part above the ideal: it reads the table
+        # row of every element it reaches outside the ideal once, and no
+        # row inside it (T_4's elements of rank at most 2 form an ideal)
+        from maxsemi.semigroup_core import closure_with_ideal
+
+        read = []
+
+        class RecordingRows(list):
+            def __getitem__(self, a):
+                read.append(a)
+                return list.__getitem__(self, a)
+
+        t4 = closure(full_transformation_gens(4), operator.mul)
+        t4._table = RecordingRows(t4.table())
+        low = frozenset(e for e, x in enumerate(t4.elements) if x.rank() <= 2)
+        for extra in (t4.generator_indices, [t4.size - 1, 5], sorted(low)[:3] + [7]):
+            want = support.closure_plain(t4, list(extra) + list(low))
+            read.clear()
+            got = closure_with_ideal(t4, low, extra)
+            assert got == want
+            assert sorted(read) == sorted(got - low)
+
+    @pytest.mark.parametrize("built", ["s4-with-table", "t5-without-table"])
+    def test_no_per_pair_products(self, built, monkeypatch):
+        # the walk multiplies whole frontiers, never one pair at a time
+        from maxsemi.semigroup_core import FiniteSemigroup, closure_with_ideal
+
+        if built == "s4-with-table":
+            sg = semigroup_from_rzms(support.s4_rzms())
+            sg.table()
+        else:
+            sg = closure(full_transformation_gens(5), operator.mul)
+        gs = greens_structure(sg)
+        calls = []
+        original = FiniteSemigroup.product
+        monkeypatch.setattr(FiniteSemigroup, "product",
+                            lambda self, i, j: calls.append((i, j)) or original(self, i, j))
+        for j in range(len(gs.j_classes)):
+            ideal = frozenset(ideal_below_generators(sg, gs, j))
+            got = closure_with_ideal(sg, ideal, sg.generator_indices)
+            assert len(got) == sg.size
+        assert sg.product(0, 0) == original(sg, 0, 0) and len(calls) == 1
+        assert (sg._table is None) == (built == "t5-without-table")
 
 
 class TestSemigroupFromRzms:
