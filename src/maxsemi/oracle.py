@@ -6,13 +6,16 @@ checks one candidate M from the definition: M is closed, proper, and
 <M, x> = S for every x outside M, tried in increasing order.  Two facts
 about subsemigroups, not about the package's theory, keep this cheap.
 Closedness: walking inside M yields a right cover X, every member a
-word over X, and M is closed iff M X lies in M.  Extensions: each
-element of <M, x> outside M is u x v with u in M or empty and v a word
-over X and x, so <M, x> is one right walk from M x and x under X and x.
-A walk stops early at any y already shown to generate: y in <M, x>
-gives <M, x> contains <M, y> = S.  Nothing from Green's relations,
-principal factors or the R/S searches is reused, and the oracle walks
-its own cover, so it can judge them.
+word over X, and M is closed iff M X lies in M.  Extensions: X generates
+M, so it serves as left letters too.  Each w in <M, x> outside M is
+u x v, u a word over X or empty, v a word over X and x; with v shortest,
+every left suffix y_i ... y_k x of u x and every right prefix u x v' lies
+outside M.  So <M, x> outside M is one walk from x alone, by left steps
+z -> y z with y in X and right steps z -> z c with c in X and x, that
+never enters M and never forms M x.  A walk stops early at any y
+already shown to generate: y in <M, x> gives <M, x> contains <M, y> = S.
+Nothing from Green's relations, principal factors or the R/S searches is
+reused, and the oracle walks its own cover, so it can judge them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import CapacityError
 from .semigroup_core import FiniteSemigroup, TABLE_BOUND
 
 SUBSET_ENUMERATION_BOUND = 16
-VERIFY_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,20 +104,23 @@ def _right_cover(times, members, member_set):
 
 def _generates(times, cover, member_set, x: int, generating: set) -> bool:
     """True iff <M, x> is everything, for M = ``member_set`` closed with
-    right cover ``cover``.  Each element of <M, x> outside M is u x v,
-    with u in M or empty and v a word over X and x; for a shortest such
-    v every prefix u x v' also lies outside M.  So a right walk from
-    (M x and x) minus M under X and x, through elements outside M only,
-    reaches all of <M, x> outside M.  The walk stops once it fills S or
-    meets an element of ``generating``."""
+    right cover X = ``cover``.  The walk starts from x alone, steps
+    z -> y z for y in X and z -> z c for c in X and x, and keeps what lies
+    outside M.  It is exact: X generates M, so it serves as left letters
+    too.  Write w in <M, x> outside M as u x v, u a word over X or empty,
+    v a word over X and x, with v shortest.  If a left suffix y_i ... y_k x
+    of u x, or a right prefix u x v' of w, lay in M, so would the prefix
+    of w up to the next x in v (w is outside M, so v holds one), and taking
+    that prefix as u would shorten v.  So the path from x to w never
+    enters M.  The walk stops once it fills S or meets an element of
+    ``generating``."""
     letters = [*cover, x]
+    lefts = [times[y] for y in cover]
     need = len(times) - len(member_set)
-    reached = {x, *(times[m](x) for m in member_set)} - member_set
-    if not generating.isdisjoint(reached):
-        return True
-    queue = list(reached)
+    reached, queue = {x}, [x]
     while queue and len(reached) < need:
-        new = set(map(times[queue.pop()], letters)) - member_set - reached
+        z = queue.pop()
+        new = {*map(times[z], letters), *(f(z) for f in lefts)} - member_set - reached
         if not generating.isdisjoint(new):
             return True
         reached |= new
@@ -128,9 +133,6 @@ def verify_maximal(sg: FiniteSemigroup, candidate: Iterable[int]):
     that adjoining any missing element generates the whole semigroup.
     The diagnostic names the first failing condition and a witness."""
     n = sg.size
-    if n > VERIFY_BOUND:
-        raise CapacityError(f"verify_maximal supported up to {VERIFY_BOUND} elements",
-                            bound=VERIFY_BOUND)
     members = sorted(set(candidate))
     member_set = set(members)
     if not member_set:

@@ -421,8 +421,8 @@ def check_closed_form(n, expected, inverse):
 
     Each K is taken as R n S_n of a result R and checked by verify_maximal
     on S_n itself; S_n has 1, 4, 8 and 22 maximal subgroups for n = 2..5.
-    Below n = 5 every result also passes verify_maximal; at n = 5 the
-    closed form is the stronger check.  Returns the results."""
+    Every result also passes verify_maximal, which multiplies along words
+    on T_5: it has no table.  Returns the results."""
     sink = [n] if inverse else []
     cyc = Transformation(tuple((i + 1) % n for i in range(n)) + tuple(sink))
     swap = Transformation(tuple([1, 0] + list(range(2, n)) + sink))
@@ -454,9 +454,8 @@ def check_closed_form(n, expected, inverse):
         (everything - units) | {s.index(units_group.elements[x]) for x in k} for k in ks}
     assert len(got) == len(set(got)) == expected
     assert set(got) == closed_form
-    if n < 5:
-        for r in results:
-            assert verify_maximal(s, r.element_indices) == (True, "ok"), r.type_tag
+    for r in results:
+        assert verify_maximal(s, r.element_indices) == (True, "ok"), r.type_tag
     return results
 
 

@@ -186,20 +186,45 @@ class TestEarlyExit:
             ok, msg = verify_maximal(sg, candidate)
             assert not ok and (ok, msg) == reference_verdict(sg, candidate)
 
-    def test_without_table(self, w_semigroup, monkeypatch):
-        # above TABLE_BOUND the oracle multiplies through sg.product; the
-        # set that is not closed runs the cover's failure branch there
-        results = [r.element_indices for r in max_subsemigroups(w_semigroup)]
-        control = results[0] & results[-1]
-        not_closed = results[0] | {min(set(range(w_semigroup.size)) - results[0])}
-        candidates = results + [control, not_closed]
-        with_table = [verify_maximal(w_semigroup, m) for m in candidates]
+    def test_without_table(self, w_semigroup, t6_semigroup, monkeypatch):
+        # above TABLE_BOUND the oracle multiplies through sg.product; on W
+        # and T6 every result, every intersection of two and every result
+        # plus its least missing element gets the table path's verdict
+        cases = []
+        for sg in (w_semigroup, t6_semigroup):
+            results = [r.element_indices for r in max_subsemigroups(sg)]
+            plus_one = [m | {min(set(range(sg.size)) - m)} for m in results]
+            candidates = results + intersections(results) + plus_one
+            verdicts = [verify_maximal(sg, m) for m in candidates]
+            # the reference's full walks take about 15 s on the T6 results,
+            # and test_same_verdicts_as_full_walks runs them on W's
+            assert all(ok for ok, _ in verdicts[:len(results)])
+            assert not any(ok for ok, _ in verdicts[-len(results):])
+            assert verdicts[len(results):] == [
+                reference_verdict(sg, m) for m in candidates[len(results):]]
+            cases.append((sg, candidates, verdicts))
         monkeypatch.setattr(oracle, "TABLE_BOUND", 0)
-        without = [verify_maximal(w_semigroup, m) for m in candidates]
-        assert without == with_table
-        assert all(ok for ok, _ in with_table[:-2])
-        assert with_table[-2][1].startswith("not maximal")
-        assert with_table[-1][1].startswith("not closed")
+        for sg, candidates, verdicts in cases:
+            assert [verify_maximal(sg, m) for m in candidates] == verdicts
+
+    def test_left_steps_reach_what_right_steps_miss(self):
+        # in the 2 x 2 rectangular band (i, lam)(j, mu) = (i, mu) the column
+        # lam = 0 is maximal, but from x = (0, 1) right steps alone stay in
+        # row 0 and never meet (1, 1) = (1, 0) x
+        sg = closure([(0, 0), (1, 1)], lambda a, b: (a[0], b[1]))
+        column = {sg.index((0, 0)), sg.index((1, 0))}
+        x = sg.index((0, 1))
+        times = [row.__getitem__ for row in sg.table()]
+        cover = oracle._right_cover(times, sorted(column), column)
+        reached, queue = {x}, [x]
+        while queue:
+            z = queue.pop()
+            fresh = {sg.product(z, c) for c in cover + [x]} - column - reached
+            reached |= fresh
+            queue.extend(fresh)
+        assert reached == {x}
+        assert support.closure_plain(sg, column | {x}) == set(range(sg.size))
+        assert verify_maximal(sg, column) == (True, "ok")
 
 
 class TestRightCover:
